@@ -7,159 +7,11 @@ exhaustive checking engine for the invariance properties that tell these
 operators apart.
 """
 
-from .orders import (
-    AltId,
-    CloneAlreadyPresent,
-    DuplicateAlternative,
-    EmptyGround,
-    EmptyOrder,
-    EmptyTier,
-    NotABijection,
-    NotASubset,
-    NotComplete,
-    NotTransitive,
-    OrderError,
-    SingleTier,
-    SourceTierWouldVanish,
-    TargetTierAbsent,
-    TierSignature,
-    UnknownAlternative,
-    WeakOrder,
-    enumerate_linear_orders,
-    enumerate_weak_orders,
-    from_pairs,
-    from_tiers,
-    label_key,
-    ordered_bell,
-    weak_order_from_json,
-    weak_order_to_json,
-)
-from .operators import (
-    OPERATOR_NAMES,
-    REGISTRY,
-    Domain,
-    NegativeCoefficient,
-    NotLinear,
-    Position,
-    PositionAssignment,
-    PositionOperator,
-    UnknownOperator,
-    affine,
-    dense,
-    dense_over_tier_count,
-    dense_via_chain,
-    fractional,
-    get_operator,
-    list_index,
-    make_affine_operator,
-    modified,
-    plus_n,
-    quotient,
-    sequential,
-    standard,
-)
-from .axioms import (
-    EXPECTED_MATRIX,
-    IMPLICATIONS,
-    Axiom,
-    AxiomReport,
-    CellResult,
-    ExpectedCell,
-    Implication,
-    ImplicationResult,
-    ImplicationViolated,
-    MatrixMismatch,
-    Verdict,
-    Witness,
-    build_verification_document,
-    check_duplication,
-    check_equality,
-    check_monotonicity,
-    check_neutrality,
-    check_sequentiality,
-    check_truncation,
-    check_ud_independency,
-    engine_ground,
-    replay_witness,
-    run_axiom_reports,
-    verify_implications,
-    verify_matrix,
-)
+from . import axioms, operators, orders
+from .orders import *
+from .operators import *
+from .axioms import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AltId",
-    "WeakOrder",
-    "TierSignature",
-    "OrderError",
-    "EmptyOrder",
-    "EmptyTier",
-    "DuplicateAlternative",
-    "NotComplete",
-    "NotTransitive",
-    "UnknownAlternative",
-    "NotASubset",
-    "NotABijection",
-    "SingleTier",
-    "CloneAlreadyPresent",
-    "SourceTierWouldVanish",
-    "TargetTierAbsent",
-    "EmptyGround",
-    "label_key",
-    "from_tiers",
-    "from_pairs",
-    "enumerate_weak_orders",
-    "enumerate_linear_orders",
-    "ordered_bell",
-    "weak_order_to_json",
-    "weak_order_from_json",
-    "Position",
-    "PositionAssignment",
-    "PositionOperator",
-    "Domain",
-    "NotLinear",
-    "NegativeCoefficient",
-    "UnknownOperator",
-    "sequential",
-    "dense",
-    "dense_via_chain",
-    "standard",
-    "modified",
-    "fractional",
-    "quotient",
-    "affine",
-    "plus_n",
-    "list_index",
-    "dense_over_tier_count",
-    "make_affine_operator",
-    "get_operator",
-    "REGISTRY",
-    "OPERATOR_NAMES",
-    "Axiom",
-    "Verdict",
-    "Witness",
-    "AxiomReport",
-    "ExpectedCell",
-    "EXPECTED_MATRIX",
-    "CellResult",
-    "MatrixMismatch",
-    "Implication",
-    "IMPLICATIONS",
-    "ImplicationResult",
-    "ImplicationViolated",
-    "engine_ground",
-    "check_equality",
-    "check_neutrality",
-    "check_sequentiality",
-    "check_truncation",
-    "check_duplication",
-    "check_ud_independency",
-    "check_monotonicity",
-    "run_axiom_reports",
-    "replay_witness",
-    "verify_matrix",
-    "verify_implications",
-    "build_verification_document",
-    "__version__",
-]
+__all__ = [*orders.__all__, *operators.__all__, *axioms.__all__, "__version__"]

@@ -34,7 +34,6 @@ stable under duplication is automatically neutral).
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -164,21 +163,192 @@ def _fresh_clone(ground: frozenset[AltId]) -> str:
     return f"+c{k}"
 
 
-def _orders(op: PositionOperator, n: int) -> Iterator[WeakOrder]:
-    source = (
-        enumerate_linear_orders
-        if op.domain is Domain.LINEAR_ONLY
-        else enumerate_weak_orders
-    )
-    return source(engine_ground(n))
-
-
 def _require_bound(max_n: int, minimum: int = 2) -> None:
     if max_n < minimum:
         raise ValueError(f"max_n must be at least {minimum}, got {max_n}")
 
 
+# ----- axiom definitions ----------------------------------------------------
+#
+# Each axiom is defined once, as a generator over the cases of one order.
+# A case yields the order it compares against (None when it needs only the
+# base order) and its first violating comparison as (subject, other,
+# before, after, detail), or None when the case holds.  The checkers, their
+# case counts and ``replay_witness`` are all views of these generators.
+
+Case = tuple["WeakOrder | None", "tuple[AltId, AltId | None, Fraction, Fraction, str] | None"]
+
+
+def _equality_cases(op: PositionOperator, order: WeakOrder) -> Iterator[Case]:
+    positions = op(order)
+    for tier in order.tiers:
+        for a, b in itertools.combinations(sorted(tier, key=label_key), 2):
+            if positions[a] != positions[b]:
+                detail = f"tied alternatives {a} and {b} in [{order}] got distinct positions"
+                yield None, (a, b, positions[a], positions[b], detail)
+            else:
+                yield None, None
+
+
+def _permutations_for(ground: tuple[AltId, ...]) -> list[dict[AltId, AltId]]:
+    """The n - 1 adjacent transpositions of ``ground``.
+
+    Passing them is a proof of neutrality over all of S_n, not a sample.
+    The checker quantifies over every order on the ground set, so the
+    relabellings an operator respects are closed under composition: if op
+    respects sigma and tau on every order R and alternative x, then
+    op(sigma tau R)(sigma tau x) = op(tau R)(tau x) = op(R)(x).  Adjacent
+    transpositions generate S_n.
+    """
+    sigmas = []
+    for left, right in zip(ground, ground[1:]):
+        swap = dict(zip(ground, ground))
+        swap[left], swap[right] = right, left
+        sigmas.append(swap)
+    return sigmas
+
+
+def _neutrality_cases(op: PositionOperator, order: WeakOrder) -> Iterator[Case]:
+    base = op(order)
+    alternatives = order.sorted_alternatives()
+    for sigma in _permutations_for(tuple(alternatives)):
+        relabeled = order.relabel(sigma)
+        moved = op(relabeled)
+        for alt in alternatives:
+            if moved[sigma[alt]] != base[alt]:
+                detail = f"relabelling {alt}->{sigma[alt]} changed the transported position"
+                yield relabeled, (alt, sigma[alt], base[alt], moved[sigma[alt]], detail)
+                break
+        else:
+            yield relabeled, None
+
+
+def _sequentiality_cases(op: PositionOperator, order: WeakOrder) -> Iterator[Case]:
+    expected = sequential(order)
+    got = op(order)
+    for alt in order.sorted_alternatives():
+        if got[alt] != expected[alt]:
+            detail = f"linear order [{order}] should place {alt} at {expected[alt]}"
+            yield None, (alt, None, expected[alt], got[alt], detail)
+            return
+    yield None, None
+
+
+def _truncation_cases(op: PositionOperator, order: WeakOrder) -> Iterator[Case]:
+    if order.num_tiers < 2:
+        return
+    truncated = order.truncate_bottom()
+    before = op(order)
+    after = op(truncated)
+    for alt in truncated.sorted_alternatives():
+        if after[alt] != before[alt]:
+            detail = f"dropping the bottom tier of [{order}] moved {alt}"
+            yield truncated, (alt, None, before[alt], after[alt], detail)
+            return
+    yield truncated, None
+
+
+def _duplication_cases(op: PositionOperator, order: WeakOrder) -> Iterator[Case]:
+    base = op(order)
+    clone = _fresh_clone(order.ground)
+    alternatives = order.sorted_alternatives()
+    for pattern in alternatives:
+        extended = order.duplicate(pattern, clone)
+        moved = op(extended)
+        for alt in alternatives:
+            if moved[alt] != base[alt]:
+                detail = f"cloning {pattern} in [{order}] moved {alt}"
+                yield extended, (alt, None, base[alt], moved[alt], detail)
+                break
+        else:
+            if moved[clone] != moved[pattern]:
+                detail = f"clone of {pattern} in [{order}] missed its pattern's position"
+                yield extended, (clone, pattern, moved[pattern], moved[clone], detail)
+            else:
+                yield extended, None
+
+
+def _ud_independency_cases(op: PositionOperator, order: WeakOrder) -> Iterator[Case]:
+    base = op(order)
+    alternatives = order.sorted_alternatives()
+    for mover in alternatives:
+        source = order.tier_index_of(mover)
+        if len(order.tiers[source]) < 2:
+            continue
+        for target in range(order.num_tiers):
+            if target == source:
+                continue
+            moved_order = order.ud_move(mover, target)
+            moved = op(moved_order)
+            for alt in alternatives:
+                if alt != mover and moved[alt] != base[alt]:
+                    detail = (
+                        f"moving {mover} from tier {source} to tier {target}"
+                        f" in [{order}] changed {alt}"
+                    )
+                    yield moved_order, (alt, mover, base[alt], moved[alt], detail)
+                    break
+            else:
+                yield moved_order, None
+
+
+def _monotonicity_cases(op: PositionOperator, order: WeakOrder) -> Iterator[Case]:
+    positions = op(order)
+    alternatives = order.sorted_alternatives()
+    for a in alternatives:
+        for b in alternatives:
+            if a == b:
+                continue
+            weakly = order.weakly_prefers(a, b)
+            le = positions[a] <= positions[b]
+            if weakly != le:
+                detail = (
+                    f"in [{order}]: {a} R {b} is {weakly} but "
+                    f"position({a}) <= position({b}) is {le}"
+                )
+                yield None, (a, b, positions[a], positions[b], detail)
+            else:
+                yield None, None
+
+
+_DEFINITIONS: dict[Axiom, Callable[[PositionOperator, WeakOrder], Iterator[Case]]] = {
+    Axiom.EQUALITY: _equality_cases,
+    Axiom.NEUTRALITY: _neutrality_cases,
+    Axiom.SEQUENTIALITY: _sequentiality_cases,
+    Axiom.TRUNCATION: _truncation_cases,
+    Axiom.DUPLICATION: _duplication_cases,
+    Axiom.UD_INDEPENDENCY: _ud_independency_cases,
+    Axiom.MONOTONICITY: _monotonicity_cases,
+}
+
+# Cloning and vertical moves always create ties, so these axioms never
+# apply to a linear-only operator.
+_NEEDS_TIES = frozenset({Axiom.DUPLICATION, Axiom.UD_INDEPENDENCY})
+
+
 # ----- checkers -------------------------------------------------------------
+
+
+def _check(op: PositionOperator, axiom: Axiom, max_n: int) -> AxiomReport:
+    """Run one axiom's definition over every order on x1..xn, n = 1..max_n,
+    and stop at the first violating case."""
+    _require_bound(max_n)
+    if axiom in _NEEDS_TIES and op.domain is Domain.LINEAR_ONLY:
+        return AxiomReport(op.name, axiom, max_n, Verdict.NOT_APPLICABLE, 0, None)
+    # Sequentiality speaks of linear orders only; every other axiom ranges
+    # over the operator's whole domain.
+    linear = axiom is Axiom.SEQUENTIALITY or op.domain is Domain.LINEAR_ONLY
+    universe = enumerate_linear_orders if linear else enumerate_weak_orders
+    cases_of = _DEFINITIONS[axiom]
+    cases = 0
+    for n in range(1, max_n + 1):
+        for order in universe(engine_ground(n)):
+            for transformed, violation in cases_of(op, order):
+                cases += 1
+                if violation is not None:
+                    witness = Witness(order, transformed, *violation)
+                    return AxiomReport(op.name, axiom, max_n, Verdict.FAIL, cases, witness)
+    return AxiomReport(op.name, axiom, max_n, Verdict.PASS, cases, None)
 
 
 def check_equality(op: PositionOperator, max_n: int) -> AxiomReport:
@@ -188,50 +358,7 @@ def check_equality(op: PositionOperator, max_n: int) -> AxiomReport:
     operators are checked over linear orders, where the condition is
     vacuous.
     """
-    _require_bound(max_n)
-    cases = 0
-    for n in range(1, max_n + 1):
-        for order in _orders(op, n):
-            positions = op(order)
-            for tier in order.tiers:
-                if len(tier) < 2:
-                    continue
-                for a, b in itertools.combinations(sorted(tier, key=label_key), 2):
-                    cases += 1
-                    if positions[a] != positions[b]:
-                        witness = Witness(
-                            base=order,
-                            transformed=None,
-                            subject=a,
-                            other=b,
-                            before=positions[a],
-                            after=positions[b],
-                            detail=f"tied alternatives {a} and {b} in [{order}] got distinct positions",
-                        )
-                        return AxiomReport(op.name, Axiom.EQUALITY, max_n, Verdict.FAIL, cases, witness)
-    return AxiomReport(op.name, Axiom.EQUALITY, max_n, Verdict.PASS, cases, None)
-
-
-def _permutations_for(ground: tuple[str, ...]) -> list[dict[AltId, AltId]]:
-    """Relabellings examined at each ground size.
-
-    Up to four alternatives every permutation is tried.  Beyond that the
-    full factorial is too wide, so the check uses all transpositions
-    (which generate the rest) plus a fixed, seeded sample of 20 random
-    permutations.
-    """
-    n = len(ground)
-    if n <= 4:
-        return [dict(zip(ground, image)) for image in itertools.permutations(ground)]
-    sigmas: list[dict[AltId, AltId]] = []
-    for a, b in itertools.combinations(ground, 2):
-        swap = dict(zip(ground, ground))
-        swap[a], swap[b] = b, a
-        sigmas.append(swap)
-    rng = random.Random(0)
-    for _ in range(20):
-        sigmas.append(dict(zip(ground, rng.sample(ground, n))))
-    return sigmas
+    return _check(op, Axiom.EQUALITY, max_n)
 
 
 def check_neutrality(op: PositionOperator, max_n: int) -> AxiomReport:
@@ -239,29 +366,7 @@ def check_neutrality(op: PositionOperator, max_n: int) -> AxiomReport:
 
     One case per (order, relabelling) pair.
     """
-    _require_bound(max_n)
-    cases = 0
-    for n in range(1, max_n + 1):
-        sigmas = _permutations_for(engine_ground(n))
-        for order in _orders(op, n):
-            base = op(order)
-            for sigma in sigmas:
-                cases += 1
-                relabeled = order.relabel(sigma)
-                moved = op(relabeled)
-                for alt in order.sorted_alternatives():
-                    if moved[sigma[alt]] != base[alt]:
-                        witness = Witness(
-                            base=order,
-                            transformed=relabeled,
-                            subject=alt,
-                            other=sigma[alt],
-                            before=base[alt],
-                            after=moved[sigma[alt]],
-                            detail=f"relabelling {alt}->{sigma[alt]} changed the transported position",
-                        )
-                        return AxiomReport(op.name, Axiom.NEUTRALITY, max_n, Verdict.FAIL, cases, witness)
-    return AxiomReport(op.name, Axiom.NEUTRALITY, max_n, Verdict.PASS, cases, None)
+    return _check(op, Axiom.NEUTRALITY, max_n)
 
 
 def check_sequentiality(op: PositionOperator, max_n: int) -> AxiomReport:
@@ -270,26 +375,7 @@ def check_sequentiality(op: PositionOperator, max_n: int) -> AxiomReport:
     One case per linear order; linear orders sit inside every operator's
     domain.
     """
-    _require_bound(max_n)
-    cases = 0
-    for n in range(1, max_n + 1):
-        for order in enumerate_linear_orders(engine_ground(n)):
-            cases += 1
-            expected = sequential(order)
-            got = op(order)
-            for alt in order.sorted_alternatives():
-                if got[alt] != expected[alt]:
-                    witness = Witness(
-                        base=order,
-                        transformed=None,
-                        subject=alt,
-                        other=None,
-                        before=expected[alt],
-                        after=got[alt],
-                        detail=f"linear order [{order}] should place {alt} at {expected[alt]}",
-                    )
-                    return AxiomReport(op.name, Axiom.SEQUENTIALITY, max_n, Verdict.FAIL, cases, witness)
-    return AxiomReport(op.name, Axiom.SEQUENTIALITY, max_n, Verdict.PASS, cases, None)
+    return _check(op, Axiom.SEQUENTIALITY, max_n)
 
 
 def check_truncation(op: PositionOperator, max_n: int) -> AxiomReport:
@@ -298,29 +384,7 @@ def check_truncation(op: PositionOperator, max_n: int) -> AxiomReport:
     One case per order with at least two tiers; one-tier orders have
     nothing below to delete and are skipped.
     """
-    _require_bound(max_n)
-    cases = 0
-    for n in range(1, max_n + 1):
-        for order in _orders(op, n):
-            if order.num_tiers < 2:
-                continue
-            cases += 1
-            truncated = order.truncate_bottom()
-            before = op(order)
-            after = op(truncated)
-            for alt in truncated.sorted_alternatives():
-                if after[alt] != before[alt]:
-                    witness = Witness(
-                        base=order,
-                        transformed=truncated,
-                        subject=alt,
-                        other=None,
-                        before=before[alt],
-                        after=after[alt],
-                        detail=f"dropping the bottom tier of [{order}] moved {alt}",
-                    )
-                    return AxiomReport(op.name, Axiom.TRUNCATION, max_n, Verdict.FAIL, cases, witness)
-    return AxiomReport(op.name, Axiom.TRUNCATION, max_n, Verdict.PASS, cases, None)
+    return _check(op, Axiom.TRUNCATION, max_n)
 
 
 def check_duplication(op: PositionOperator, max_n: int) -> AxiomReport:
@@ -330,44 +394,7 @@ def check_duplication(op: PositionOperator, max_n: int) -> AxiomReport:
     exactly on its pattern's position.  A clone always ties with its
     pattern, so the check does not apply to linear-only operators.
     """
-    _require_bound(max_n)
-    if op.domain is Domain.LINEAR_ONLY:
-        return AxiomReport(op.name, Axiom.DUPLICATION, max_n, Verdict.NOT_APPLICABLE, 0, None)
-    cases = 0
-    for n in range(1, max_n + 1):
-        for order in _orders(op, n):
-            base = op(order)
-            clone = _fresh_clone(order.ground)
-            for pattern in order.sorted_alternatives():
-                cases += 1
-                extended = order.duplicate(pattern, clone)
-                moved = op(extended)
-                report = None
-                for alt in order.sorted_alternatives():
-                    if moved[alt] != base[alt]:
-                        report = Witness(
-                            base=order,
-                            transformed=extended,
-                            subject=alt,
-                            other=None,
-                            before=base[alt],
-                            after=moved[alt],
-                            detail=f"cloning {pattern} in [{order}] moved {alt}",
-                        )
-                        break
-                if report is None and moved[clone] != moved[pattern]:
-                    report = Witness(
-                        base=order,
-                        transformed=extended,
-                        subject=clone,
-                        other=pattern,
-                        before=moved[pattern],
-                        after=moved[clone],
-                        detail=f"clone of {pattern} in [{order}] missed its pattern's position",
-                    )
-                if report is not None:
-                    return AxiomReport(op.name, Axiom.DUPLICATION, max_n, Verdict.FAIL, cases, report)
-    return AxiomReport(op.name, Axiom.DUPLICATION, max_n, Verdict.PASS, cases, None)
+    return _check(op, Axiom.DUPLICATION, max_n)
 
 
 def check_ud_independency(op: PositionOperator, max_n: int) -> AxiomReport:
@@ -379,41 +406,7 @@ def check_ud_independency(op: PositionOperator, max_n: int) -> AxiomReport:
     source tier, so they first appear at three alternatives and never
     apply to linear-only operators.
     """
-    _require_bound(max_n)
-    if op.domain is Domain.LINEAR_ONLY:
-        return AxiomReport(op.name, Axiom.UD_INDEPENDENCY, max_n, Verdict.NOT_APPLICABLE, 0, None)
-    cases = 0
-    for n in range(1, max_n + 1):
-        for order in _orders(op, n):
-            base = op(order)
-            for mover in order.sorted_alternatives():
-                source = order.tier_index_of(mover)
-                if len(order.tiers[source]) < 2:
-                    continue
-                for target in range(order.num_tiers):
-                    if target == source:
-                        continue
-                    cases += 1
-                    moved_order = order.ud_move(mover, target)
-                    moved = op(moved_order)
-                    for alt in order.sorted_alternatives():
-                        if alt == mover:
-                            continue
-                        if moved[alt] != base[alt]:
-                            witness = Witness(
-                                base=order,
-                                transformed=moved_order,
-                                subject=alt,
-                                other=mover,
-                                before=base[alt],
-                                after=moved[alt],
-                                detail=(
-                                    f"moving {mover} from tier {source} to tier {target}"
-                                    f" in [{order}] changed {alt}"
-                                ),
-                            )
-                            return AxiomReport(op.name, Axiom.UD_INDEPENDENCY, max_n, Verdict.FAIL, cases, witness)
-    return AxiomReport(op.name, Axiom.UD_INDEPENDENCY, max_n, Verdict.PASS, cases, None)
+    return _check(op, Axiom.UD_INDEPENDENCY, max_n)
 
 
 def check_monotonicity(op: PositionOperator, max_n: int) -> AxiomReport:
@@ -422,34 +415,7 @@ def check_monotonicity(op: PositionOperator, max_n: int) -> AxiomReport:
     One case per (order, ordered pair of distinct alternatives); both
     directions of the equivalence are enforced.
     """
-    _require_bound(max_n)
-    cases = 0
-    for n in range(1, max_n + 1):
-        for order in _orders(op, n):
-            positions = op(order)
-            alternatives = order.sorted_alternatives()
-            for a in alternatives:
-                for b in alternatives:
-                    if a == b:
-                        continue
-                    cases += 1
-                    weakly = order.weakly_prefers(a, b)
-                    le = positions[a] <= positions[b]
-                    if weakly != le:
-                        witness = Witness(
-                            base=order,
-                            transformed=None,
-                            subject=a,
-                            other=b,
-                            before=positions[a],
-                            after=positions[b],
-                            detail=(
-                                f"in [{order}]: {a} R {b} is {weakly} but "
-                                f"position({a}) <= position({b}) is {le}"
-                            ),
-                        )
-                        return AxiomReport(op.name, Axiom.MONOTONICITY, max_n, Verdict.FAIL, cases, witness)
-    return AxiomReport(op.name, Axiom.MONOTONICITY, max_n, Verdict.PASS, cases, None)
+    return _check(op, Axiom.MONOTONICITY, max_n)
 
 
 CHECKERS: dict[Axiom, Callable[[PositionOperator, int], AxiomReport]] = {
@@ -466,34 +432,16 @@ CHECKERS: dict[Axiom, Callable[[PositionOperator, int], AxiomReport]] = {
 def replay_witness(op: PositionOperator, axiom: Axiom, witness: Witness) -> bool:
     """Re-derive a reported violation through the public operator interface.
 
-    Returns True when the witness still exhibits the violation, i.e. the
-    report was sound.
+    Re-runs the axiom's definition on the witness's base order.  Returns
+    True when some case against the witness's transformed order yields
+    exactly its subject, other, before and after, i.e. the report was
+    sound.
     """
-    if axiom is Axiom.EQUALITY:
-        positions = op(witness.base)
-        assert witness.other is not None
-        return positions[witness.subject] != positions[witness.other]
-    if axiom is Axiom.NEUTRALITY:
-        assert witness.transformed is not None and witness.other is not None
-        return op(witness.base)[witness.subject] != op(witness.transformed)[witness.other]
-    if axiom is Axiom.SEQUENTIALITY:
-        return op(witness.base)[witness.subject] != sequential(witness.base)[witness.subject]
-    if axiom in (Axiom.TRUNCATION, Axiom.UD_INDEPENDENCY):
-        assert witness.transformed is not None
-        return op(witness.base)[witness.subject] != op(witness.transformed)[witness.subject]
-    if axiom is Axiom.DUPLICATION:
-        assert witness.transformed is not None
-        if witness.subject in witness.base.ground:
-            return op(witness.base)[witness.subject] != op(witness.transformed)[witness.subject]
-        assert witness.other is not None
-        moved = op(witness.transformed)
-        return moved[witness.subject] != moved[witness.other]
-    if axiom is Axiom.MONOTONICITY:
-        assert witness.other is not None
-        positions = op(witness.base)
-        weakly = witness.base.weakly_prefers(witness.subject, witness.other)
-        return weakly != (positions[witness.subject] <= positions[witness.other])
-    raise ValueError(f"unknown axiom {axiom!r}")
+    claim = (witness.subject, witness.other, witness.before, witness.after)
+    return any(
+        transformed == witness.transformed and violation is not None and violation[:4] == claim
+        for transformed, violation in _DEFINITIONS[axiom](op, witness.base)
+    )
 
 
 # ----- expected verdicts ----------------------------------------------------
@@ -516,28 +464,11 @@ class ExpectedCell:
 def _expected_matrix() -> dict[tuple[str, Axiom], ExpectedCell]:
     P, F, NA = Verdict.PASS, Verdict.FAIL, Verdict.NOT_APPLICABLE
 
-    def row(
-        name: str,
-        equal: tuple[Verdict, str, str],
-        neutral: tuple[Verdict, str, str],
-        seq: tuple[Verdict, str, str],
-        trunc: tuple[Verdict, str, str],
-        dup: tuple[Verdict, str, str],
-        ud: tuple[Verdict, str, str],
-        mono: tuple[Verdict, str, str],
-    ) -> dict[tuple[str, Axiom], ExpectedCell]:
-        cells = {
-            Axiom.EQUALITY: equal,
-            Axiom.NEUTRALITY: neutral,
-            Axiom.SEQUENTIALITY: seq,
-            Axiom.TRUNCATION: trunc,
-            Axiom.DUPLICATION: dup,
-            Axiom.UD_INDEPENDENCY: ud,
-            Axiom.MONOTONICITY: mono,
-        }
+    def row(name: str, *cells: tuple[Verdict, str, str]) -> dict[tuple[str, Axiom], ExpectedCell]:
+        """One operator's cells, given in ``Axiom`` declaration order."""
         return {
             (name, axiom): ExpectedCell(verdict, source, note)
-            for axiom, (verdict, source, note) in cells.items()
+            for axiom, (verdict, source, note) in zip(Axiom, cells, strict=True)
         }
 
     theory = "theory"

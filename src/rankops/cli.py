@@ -13,6 +13,7 @@ mismatch, 2 malformed input or out-of-range arguments.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -23,6 +24,7 @@ from typing import Sequence, TextIO
 from .axioms import build_verification_document
 from .operators import NegativeCoefficient, NotLinear, UnknownOperator, get_operator
 from .orders import (
+    AltId,
     OrderError,
     WeakOrder,
     enumerate_weak_orders,
@@ -112,9 +114,16 @@ def _parse_tiers_json(text: str) -> WeakOrder:
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
     try:
-        return weak_order_from_json(payload)
+        order = weak_order_from_json(payload)
     except OrderError as exc:
         raise ParseError(str(exc)) from None
+    # Output prints every label as text, so 1 and "1" would be one id twice.
+    ids: dict[str, AltId] = {}
+    for alt in order.sorted_alternatives():
+        first = ids.setdefault(str(alt), alt)
+        if first != alt:
+            raise ParseError(f"labels {first!r} and {alt!r} both print as id {str(alt)!r}")
+    return order
 
 
 def _format_rows(order: WeakOrder, method: str, output_format: str) -> str:
@@ -204,15 +213,21 @@ def _cmd_rank(args: argparse.Namespace, stdout: TextIO) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace, stdout: TextIO) -> int:
-    if not 2 <= args.max_n <= 6:
-        raise InputError(f"--max-n must be between 2 and 6, got {args.max_n}")
-    document, ok = build_verification_document(args.max_n)
-    rendered = json.dumps(document, indent=2) + "\n"
-    if args.report:
-        with open(args.report, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(rendered)
-    else:
-        stdout.write(rendered)
+    # Below three alternatives some expected failures have no counterexample yet.
+    if not 3 <= args.max_n <= 6:
+        raise InputError(f"--max-n must be between 3 and 6, got {args.max_n}")
+    # Open the report first, so a bad path fails before the engine runs.
+    try:
+        report = (
+            open(args.report, "w", encoding="utf-8", newline="\n")
+            if args.report
+            else contextlib.nullcontext(stdout)
+        )
+    except OSError as exc:
+        raise InputError(str(exc)) from None
+    with report as handle:
+        document, ok = build_verification_document(args.max_n)
+        handle.write(json.dumps(document, indent=2) + "\n")
     print(
         f"verification at max n = {args.max_n}: {'all as expected' if ok else 'MISMATCH'}",
         file=sys.stderr,
@@ -263,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify = commands.add_parser(
         "verify", help="check all operators against the expected property matrix"
     )
-    verify.add_argument("--max-n", type=int, default=4, help="universe bound (2..6)")
+    verify.add_argument("--max-n", type=int, default=4, help="universe bound (3..6)")
     verify.add_argument("--report", default=None, help="write the JSON report here")
     verify.set_defaults(handler=_cmd_verify)
 

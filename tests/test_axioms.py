@@ -25,6 +25,7 @@ from rankops import (
     engine_ground,
     enumerate_weak_orders,
     from_tiers,
+    ordered_bell,
     replay_witness,
     run_axiom_reports,
     verify_implications,
@@ -177,8 +178,9 @@ def test_case_counts_match_analytic_values():
     # exactly one single-tier order exists per ground size
     assert trunc.cases_checked == sum(counts[n] - 1 for n in range(1, 6)) == 628
 
+    # one case per adjacent transposition of x1..xn
     neutral = check_neutrality(REGISTRY["dense"], 4)
-    assert neutral.cases_checked == sum(counts[n] * math.factorial(n) for n in range(1, 5)) == 1885
+    assert neutral.cases_checked == sum(counts[n] * (n - 1) for n in range(1, 5)) == 254
 
     mono = check_monotonicity(REGISTRY["dense"], 4)
     assert mono.cases_checked == sum(counts[n] * n * (n - 1) for n in range(1, 5)) == 984
@@ -199,14 +201,14 @@ def test_case_counts_match_analytic_values():
     assert ud.cases_checked == expected_moves
 
 
-def test_neutrality_sampled_tail_at_five():
-    """Above four alternatives the checker switches to transpositions plus
-    a fixed seeded sample; counts and verdicts stay deterministic."""
+def test_neutrality_adjacent_transpositions_at_five():
+    """The n - 1 adjacent transpositions generate every relabelling, so
+    checking them on every order proves neutrality at each size."""
     report = check_neutrality(REGISTRY["dense"], 5)
     assert report.verdict is Verdict.PASS
-    full_part = 1885
-    sampled_part = 541 * (math.comb(5, 2) + 20)
-    assert report.cases_checked == full_part + sampled_part
+    assert report.cases_checked == sum(ordered_bell(n) * (n - 1) for n in range(1, 6)) == 2418
+    linear = check_neutrality(REGISTRY["sequential"], 5)
+    assert linear.cases_checked == sum(math.factorial(n) * (n - 1) for n in range(1, 6)) == 566
 
 
 # ----- witness soundness and determinism ------------------------------------------
@@ -222,6 +224,19 @@ def test_fail_witnesses_replay_through_public_interface(reports3):
         else:
             assert report.witness is None
     assert fails > 0
+
+
+def test_replay_rejects_doctored_witnesses(reports3):
+    for (name, axiom), report in reports3.items():
+        if report.verdict is not Verdict.FAIL:
+            continue
+        witness = report.witness
+        altered = dataclasses.replace(witness, after=witness.after + 1)
+        assert not replay_witness(REGISTRY[name], axiom, altered), (name, axiom)
+        # an order that no case of the base order compares against
+        foreign = from_tiers([{"y1"}, {"y2"}])
+        stray = dataclasses.replace(witness, transformed=foreign)
+        assert not replay_witness(REGISTRY[name], axiom, stray), (name, axiom)
 
 
 def test_reports_are_deterministic(reports3):

@@ -139,6 +139,10 @@ def test_rank_parse_errors():
         rank_payload(SCORES, method="percentile")
     with pytest.raises(ParseError):
         rank_payload("{broken", method="dense", input_format="json-tiers")
+    # the integer label 1 and the string "1" would print as the same id
+    with pytest.raises(ParseError) as excinfo:
+        rank_payload('{"tiers":[["x",1],["1"]]}', method="dense", input_format="json-tiers")
+    assert "'1'" in str(excinfo.value)
 
 
 def test_rank_affine_form_via_method_name():
@@ -222,8 +226,23 @@ def test_main_verify_writes_report_and_succeeds(tmp_path, capsys):
 def test_main_verify_bounds(capsys):
     assert main(["verify", "--max-n", "1"]) == 2
     capsys.readouterr()
+    # at two alternatives some expected failures cannot show yet
+    assert main(["verify", "--max-n", "2"]) == 2
+    capsys.readouterr()
     assert main(["verify", "--max-n", "7"]) == 2
     capsys.readouterr()
+
+
+def test_main_verify_unwritable_report_is_input_error(tmp_path, monkeypatch, capsys):
+    def engine(max_n):
+        raise AssertionError("the engine ran before the report path was checked")
+
+    monkeypatch.setattr("rankops.cli.build_verification_document", engine)
+    report = tmp_path / "no" / "such" / "dir" / "r.json"
+    assert main(["verify", "--max-n", "3", "--report", str(report)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 # ----- true end-to-end through the interpreter -----------------------------------
