@@ -96,7 +96,8 @@ def _order_from_scores(rows: list[tuple[str, Fraction]], epsilon: Fraction) -> W
     the gap is at most epsilon, which can merge scores farther apart than
     epsilon itself.
     """
-    ordered = sorted(rows, key=lambda kv: (-kv[1], label_key(kv[0])))
+    # Tiers are sets and equal scores always share one, so ties need no key.
+    ordered = sorted(rows, key=lambda kv: kv[1], reverse=True)
     tiers: list[set[str]] = []
     previous_score: Fraction | None = None
     for ident, score in ordered:
@@ -129,9 +130,7 @@ def _parse_tiers_json(text: str) -> WeakOrder:
 def _format_rows(order: WeakOrder, method: str, output_format: str) -> str:
     try:
         operator = get_operator(method)
-    except UnknownOperator as exc:
-        raise UnknownMethod(str(exc)) from None
-    except NegativeCoefficient as exc:
+    except (UnknownOperator, NegativeCoefficient) as exc:
         raise UnknownMethod(str(exc)) from None
     try:
         positions = operator(order)
@@ -191,14 +190,21 @@ def rank_payload(
 
 
 def _cmd_rank(args: argparse.Namespace, stdout: TextIO) -> int:
-    if args.file in (None, "-"):
-        text = sys.stdin.read()
-    else:
-        try:
-            with open(args.file, "r", encoding="utf-8") as handle:
+    try:
+        if args.file in (None, "-"):
+            text = sys.stdin.read()
+        else:
+            with open(args.file, "r", encoding="utf-8", errors="surrogateescape") as handle:
                 text = handle.read()
-        except OSError as exc:
-            raise InputError(str(exc)) from None
+        # Bytes that are not UTF-8 reach here as lone surrogates, which do not
+        # encode, unless stdin's strict decoding already refused them.
+        text.encode("utf-8")
+    except OSError as exc:
+        raise InputError(str(exc)) from None
+    except (UnicodeDecodeError, UnicodeEncodeError) as exc:
+        newline = "\n" if isinstance(exc.object, str) else b"\n"
+        line = exc.object.count(newline, 0, exc.start) + 1
+        raise InputError(f"line {line}: input is not valid UTF-8") from None
     stdout.write(
         rank_payload(
             text,

@@ -120,7 +120,6 @@ class PositionOperator:
     name: str
     domain: Domain
     fn: Callable[[WeakOrder], PositionAssignment] = field(compare=False)
-    params: tuple[tuple[str, Fraction], ...] = ()
 
     def in_domain(self, order: WeakOrder) -> bool:
         return self.domain is Domain.ALL_WEAK_ORDERS or order.is_linear
@@ -134,14 +133,28 @@ class PositionOperator:
 # ----- the principal operators --------------------------------------------
 
 
+def _by_tier(order: WeakOrder, value: Callable[[int, int, int], Rational]) -> PositionAssignment:
+    """Give every member of a tier the position ``value(depth, above, size)``.
+
+    ``depth`` is the tier's number counted from 1 at the top, ``above`` the
+    number of alternatives in the tiers before it and ``size`` its own
+    cardinality: the three quantities the tie-aware ranks are defined by.
+    """
+    positions: dict[AltId, Rational] = {}
+    above = 0
+    for depth, tier in enumerate(order.tiers, start=1):
+        position = value(depth, above, len(tier))
+        for alt in tier:
+            positions[alt] = position
+        above += len(tier)
+    return PositionAssignment(positions)
+
+
 def sequential(order: WeakOrder) -> PositionAssignment:
     """The unique 1..n assignment on a linear order, best first."""
     if not order.is_linear:
         raise NotLinear("sequential positions require a linear order")
-    n = order.n
-    return PositionAssignment(
-        {alt: Fraction(n - order.dominated_count(alt)) for alt in order.ground}
-    )
+    return _by_tier(order, lambda depth, above, size: depth)
 
 
 def dense(order: WeakOrder) -> PositionAssignment:
@@ -150,9 +163,7 @@ def dense(order: WeakOrder) -> PositionAssignment:
     Whole tiers are numbered 1, 2, 3, ... so the assigned values are
     exactly 1 through the tier count, with no gaps.
     """
-    return PositionAssignment(
-        {alt: Fraction(depth) for depth, tier in enumerate(order.tiers, start=1) for alt in tier}
-    )
+    return _by_tier(order, lambda depth, above, size: depth)
 
 
 def dense_via_chain(order: WeakOrder) -> PositionAssignment:
@@ -174,37 +185,18 @@ def dense_via_chain(order: WeakOrder) -> PositionAssignment:
 
 def standard(order: WeakOrder) -> PositionAssignment:
     """Competition rank: ties get the highest rank they cover."""
-    positions: dict[AltId, Fraction] = {}
-    above = 0
-    for tier in order.tiers:
-        for alt in tier:
-            positions[alt] = Fraction(above + 1)
-        above += len(tier)
-    return PositionAssignment(positions)
+    return _by_tier(order, lambda depth, above, size: above + 1)
 
 
 def modified(order: WeakOrder) -> PositionAssignment:
     """Ties get the lowest rank they cover (count of weakly-better ones)."""
-    positions: dict[AltId, Fraction] = {}
-    covered = 0
-    for tier in order.tiers:
-        covered += len(tier)
-        for alt in tier:
-            positions[alt] = Fraction(covered)
-    return PositionAssignment(positions)
+    return _by_tier(order, lambda depth, above, size: above + size)
 
 
 def fractional(order: WeakOrder) -> PositionAssignment:
     """Mid-rank: ties receive the mean of the integer ranks they cover."""
-    positions: dict[AltId, Fraction] = {}
-    above = 0
-    for tier in order.tiers:
-        covered = range(above + 1, above + len(tier) + 1)
-        value = Fraction(sum(covered), len(tier))
-        for alt in tier:
-            positions[alt] = value
-        above += len(tier)
-    return PositionAssignment(positions)
+    # The covered ranks above+1 .. above+size average to their midpoint.
+    return _by_tier(order, lambda depth, above, size: Fraction(2 * above + size + 1, 2))
 
 
 # ----- foil operators -------------------------------------------------------
@@ -220,10 +212,15 @@ def quotient(order: WeakOrder) -> PositionAssignment:
     tier grows the denominator, so positions are not stable under
     duplication.
     """
-    base = dense(order)
-    return PositionAssignment(
-        {alt: base[alt] / len(order.tier_of(alt)) for alt in order.ground}
-    )
+    return _by_tier(order, lambda depth, above, size: Fraction(depth, size))
+
+
+def _coefficients(a: Rational, b: Rational) -> tuple[Fraction, Fraction]:
+    """The affine coefficients as exact fractions, rejecting negative ones."""
+    a, b = Fraction(a), Fraction(b)
+    if a < 0 or b < 0:
+        raise NegativeCoefficient(f"coefficients must be non-negative, got a={a}, b={b}")
+    return a, b
 
 
 def affine(order: WeakOrder, a: Rational, b: Rational) -> PositionAssignment:
@@ -232,11 +229,8 @@ def affine(order: WeakOrder, a: Rational, b: Rational) -> PositionAssignment:
     Stable under cloning for any coefficients, but agrees with the 1..n
     sequence on linear orders only when a = 1 and b = 0.
     """
-    a, b = Fraction(a), Fraction(b)
-    if a < 0 or b < 0:
-        raise NegativeCoefficient(f"coefficients must be non-negative, got a={a}, b={b}")
-    base = dense(order)
-    return PositionAssignment({alt: a * base[alt] + b for alt in order.ground})
+    a, b = _coefficients(a, b)
+    return _by_tier(order, lambda depth, above, size: a * depth + b)
 
 
 def plus_n(order: WeakOrder) -> PositionAssignment:
@@ -246,11 +240,8 @@ def plus_n(order: WeakOrder) -> PositionAssignment:
     tier can flip an order into the unshifted regime and change every
     surviving position.
     """
-    base = dense(order)
-    if order.is_linear:
-        return base
-    shift = Fraction(order.n)
-    return PositionAssignment({alt: base[alt] + shift for alt in order.ground})
+    shift = 0 if order.is_linear else order.n
+    return _by_tier(order, lambda depth, above, size: depth + shift)
 
 
 _TRAILING_DIGITS = re.compile(r"([0-9]+)$")
@@ -297,9 +288,8 @@ def dense_over_tier_count(order: WeakOrder) -> PositionAssignment:
     removing the bottom tier shrinks the denominator and rescales every
     surviving position.
     """
-    base = dense(order)
     tiers = order.num_tiers
-    return PositionAssignment({alt: base[alt] / tiers for alt in order.ground})
+    return _by_tier(order, lambda depth, above, size: Fraction(depth, tiers))
 
 
 # ----- registry -------------------------------------------------------------
@@ -313,16 +303,13 @@ def make_affine_operator(
     The default name serialises the coefficients as exact fractions, e.g.
     ``affine:a=2/1,b=1/1``.
     """
-    a, b = Fraction(a), Fraction(b)
-    if a < 0 or b < 0:
-        raise NegativeCoefficient(f"coefficients must be non-negative, got a={a}, b={b}")
+    a, b = _coefficients(a, b)
     if name is None:
         name = f"affine:a={a.numerator}/{a.denominator},b={b.numerator}/{b.denominator}"
     return PositionOperator(
         name=name,
         domain=Domain.ALL_WEAK_ORDERS,
         fn=lambda order: affine(order, a, b),
-        params=(("a", a), ("b", b)),
     )
 
 

@@ -20,6 +20,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 AltId = Union[int, str]
@@ -208,22 +209,23 @@ class WeakOrder:
         """a I b: a and b share a tier."""
         return self.tier_index_of(a) == self.tier_index_of(b)
 
+    # Lazy: most orders the enumerators and transforms build never need it.
+    @cached_property
+    def _below(self) -> tuple[int, ...]:
+        """Per tier, top first: how many alternatives lie in later tiers."""
+        return tuple(self.n - covered for covered in itertools.accumulate(map(len, self.tiers)))
+
     def dominated_count(self, alt: AltId) -> int:
         """Number of alternatives strictly below ``alt``."""
-        position = self.tier_index_of(alt)
-        return sum(len(tier) for tier in self.tiers[position + 1 :])
+        return self._below[self.tier_index_of(alt)]
 
     def sorted_alternatives(self) -> list[AltId]:
         """All alternatives in the canonical label order."""
         return sorted(self.ground, key=label_key)
 
     def tier_signature(self) -> TierSignature:
-        below = self.n
-        sizes = []
-        for tier in self.tiers:
-            below -= len(tier)
-            sizes.append((below, len(tier)))
-        return TierSignature(frozenset(p for p, _ in sizes), tuple(sizes))
+        sizes = tuple(zip(self._below, map(len, self.tiers)))
+        return TierSignature(frozenset(self._below), sizes)
 
     def maximal_chain(self) -> tuple[AltId, ...]:
         """One representative per tier, top to bottom.

@@ -264,3 +264,34 @@ def test_subprocess_unknown_method_exit_code():
     result = run_cli("rank", "--method", "nope", stdin=SCORES)
     assert result.returncode == 2
     assert "no operator named" in result.stderr
+
+
+NOT_UTF8 = b"a,1\n\xff,2\n"
+
+
+def test_main_rank_rejects_non_utf8_file(tmp_path, capsys):
+    path = tmp_path / "scores.csv"
+    path.write_bytes(NOT_UTF8)
+    assert main(["rank", "--method", "dense", str(path)]) == 2
+    assert capsys.readouterr().err == "error: line 2: input is not valid UTF-8\n"
+
+
+@pytest.mark.parametrize("stdin_encoding", ["utf-8:surrogateescape", "utf-8:strict"])
+def test_subprocess_rank_rejects_non_utf8_from_file_and_stdin(tmp_path, stdin_encoding):
+    """Both read paths give exit 2 and one error line, whichever way the
+    interpreter decodes stdin."""
+    path = tmp_path / "scores.csv"
+    path.write_bytes(NOT_UTF8)
+    env = dict(os.environ, PYTHONIOENCODING=stdin_encoding)
+    env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    for extra, stdin in (([str(path)], b""), ([], NOT_UTF8)):
+        result = subprocess.run(
+            [sys.executable, "-m", "rankops", "rank", "--method", "dense", *extra],
+            input=stdin,
+            capture_output=True,
+            env=env,
+            cwd=REPO,
+        )
+        assert result.returncode == 2
+        assert result.stdout == b""
+        assert result.stderr == b"error: line 2: input is not valid UTF-8\n"

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -358,3 +359,52 @@ def test_random_pointwise_order(order):
     d, s, m, f = dense(order), standard(order), modified(order), fractional(order)
     for alt in order.ground:
         assert d[alt] <= s[alt] <= f[alt] <= m[alt]
+
+
+# ----- the per-tier rules against the per-alternative definitions -------------
+
+
+def test_tier_rules_match_per_alternative_definitions_exhaustive():
+    """Each operator fed by the shared tier loop equals the formula it
+    was first written as, alternative by alternative."""
+    coefficients = [(0, 0), (0, 3), (2, 1), (F(1, 2), F(5, 3))]
+    for order in _all_orders(5):
+        n, base = order.n, dense(order)
+        got = {
+            "quotient": quotient(order),
+            "plus_n": plus_n(order),
+            "dense_over_tier_count": dense_over_tier_count(order),
+            "standard": standard(order),
+            "modified": modified(order),
+        }
+        affines = [affine(order, a, b) for a, b in coefficients]
+        for alt in order.ground:
+            below, size = order.dominated_count(alt), len(order.tier_of(alt))
+            assert got["quotient"][alt] == base[alt] / size
+            assert got["plus_n"][alt] == base[alt] + (0 if order.is_linear else n)
+            assert got["dense_over_tier_count"][alt] == base[alt] / order.num_tiers
+            assert got["standard"][alt] == n - below - size + 1
+            assert got["modified"][alt] == n - below
+            for (a, b), positions in zip(coefficients, affines):
+                assert positions[alt] == a * base[alt] + b
+        if order.is_linear:
+            positions = sequential(order)
+            assert all(positions[alt] == n - order.dominated_count(alt) for alt in order.ground)
+
+
+def test_every_position_is_a_fraction_exhaustive():
+    for order in _all_orders(5):
+        for op in REGISTRY.values():
+            if op.in_domain(order):
+                assert all(type(value) is F for value in op(order).values()), op.name
+
+
+def test_sequential_and_chain_stay_fast_on_a_long_linear_order():
+    """Both read each alternative's below-count; summing the lower tiers
+    on every call made 50,000 alternatives take minutes."""
+    order = from_tiers([{i} for i in range(50_000)])
+    start = time.perf_counter()
+    expected = dense(order)
+    assert sequential(order) == expected
+    assert dense_via_chain(order) == expected
+    assert time.perf_counter() - start < 10

@@ -391,3 +391,14 @@ def test_random_duplicate_round_trip(order, data):
     extended = order.duplicate(pattern, "+clone")
     assert extended.restrict(order.ground) == order
     assert extended.num_tiers == order.num_tiers
+
+
+def test_dominated_count_and_tier_signature_agree_exhaustive():
+    """Below-counts match strict preference, and the signature lists them
+    tier by tier with the tier sizes."""
+    for order in _all_orders(5):
+        for alt in order.ground:
+            assert order.dominated_count(alt) == sum(order.prefers(alt, b) for b in order.ground)
+        expected = tuple((order.dominated_count(next(iter(tier))), len(tier)) for tier in order.tiers)
+        assert order.tier_signature().sizes == expected
+        assert order.tier_signature().realized == frozenset(p for p, _ in expected)
