@@ -7,7 +7,8 @@ Three subcommands:
 * ``enumerate``  stream all weak orders on n alternatives, or just count
 
 Exit codes: 0 success (verify: everything as expected), 1 verification
-mismatch, 2 malformed input or out-of-range arguments.
+mismatch, 2 malformed input or out-of-range arguments, 141 stdout closed
+by its reader before the output was written.
 """
 
 from __future__ import annotations
@@ -17,12 +18,22 @@ import contextlib
 import csv
 import io
 import json
+import math
+import os
 import sys
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_CEILING, Context, Decimal
 from fractions import Fraction
-from typing import Sequence, TextIO
+from typing import Sequence, TextIO, Union
 
 from .axioms import build_verification_document
-from .operators import NegativeCoefficient, NotLinear, UnknownOperator, get_operator
+from .operators import (
+    NegativeCoefficient,
+    NotLinear,
+    UnknownOperator,
+    get_operator,
+    parse_exact,
+    to_fraction,
+)
 from .orders import (
     AltId,
     OrderError,
@@ -58,9 +69,18 @@ class EmptyInput(InputError):
     pass
 
 
-def _parse_scores(text: str, has_header: bool) -> list[tuple[str, Fraction]]:
+# A score: a Decimal, or a Fraction for the p/q form.  The two compare and
+# hash exactly with each other, so equal scores are one key either way.
+Score = Union[Decimal, Fraction]
+
+# Exit code when the reader of stdout leaves early, as ``| head`` does: the
+# status a process killed by SIGPIPE reports, 128 + 13.
+EXIT_PIPE_CLOSED = 141
+
+
+def _parse_scores(text: str, has_header: bool) -> list[tuple[str, Score]]:
     """Parse ``id,score`` CSV rows into exact scores."""
-    rows: list[tuple[str, Fraction]] = []
+    rows: list[tuple[str, Score]] = []
     seen: set[str] = set()
     reader = csv.reader(io.StringIO(text))
     for line_no, row in enumerate(reader, start=1):
@@ -77,7 +97,7 @@ def _parse_scores(text: str, has_header: bool) -> list[tuple[str, Fraction]]:
             raise DuplicateId(f"line {line_no}: duplicate id {ident!r}")
         seen.add(ident)
         try:
-            score = Fraction(raw_score)
+            score = parse_exact(raw_score)
         except (ValueError, ZeroDivisionError):
             raise ParseError(
                 f"line {line_no}, column 2: not an exact decimal: {raw_score!r}"
@@ -88,7 +108,34 @@ def _parse_scores(text: str, has_header: bool) -> list[tuple[str, Fraction]]:
     return rows
 
 
-def _order_from_scores(rows: list[tuple[str, Fraction]], epsilon: Fraction) -> WeakOrder:
+# Decimal arithmetic without rounding, over the exponents parse_exact allows.
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
+
+
+def _within(high: Score, low: Score, epsilon: Score) -> bool:
+    """Whether ``high - low <= epsilon``, exactly, for ``high > low``.
+
+    Scaled by the common denominator of the fractions among them, all three
+    are exact decimals.  The gap rounded up to as many digits as epsilon
+    has is the least number of that many digits not below the gap, so it
+    is at most epsilon exactly when the gap is.  No step builds
+    10**exponent, so the time is bounded by the digits written.
+    """
+    values = (high, low, epsilon)
+    scale = math.lcm(*(v.denominator for v in values if isinstance(v, Fraction)))
+    high, low, epsilon = (
+        Decimal(v.numerator * (scale // v.denominator))
+        if isinstance(v, Fraction)
+        else _EXACT.multiply(v, scale)
+        for v in values
+    )
+    up = Context(
+        prec=len(epsilon.as_tuple().digits), rounding=ROUND_CEILING, Emax=MAX_EMAX, Emin=MIN_EMIN
+    )
+    return up.subtract(high, low) <= epsilon
+
+
+def _order_from_scores(rows: list[tuple[str, Score]], epsilon: Score) -> WeakOrder:
     """Group scores into tiers, higher score = better tier.
 
     With epsilon zero, only exactly equal scores share a tier.  A positive
@@ -96,16 +143,18 @@ def _order_from_scores(rows: list[tuple[str, Fraction]], epsilon: Fraction) -> W
     the gap is at most epsilon, which can merge scores farther apart than
     epsilon itself.
     """
-    # Tiers are sets and equal scores always share one, so ties need no key.
-    ordered = sorted(rows, key=lambda kv: kv[1], reverse=True)
-    tiers: list[set[str]] = []
-    previous_score: Fraction | None = None
-    for ident, score in ordered:
-        if previous_score is not None and previous_score - score <= epsilon:
-            tiers[-1].add(ident)
+    groups: dict[Score, list[str]] = {}
+    for ident, score in rows:
+        groups.setdefault(score, []).append(ident)
+    tiers: list[list[str]] = []
+    previous: Score | None = None
+    # Only the distinct scores are sorted, and only adjacent ones compared.
+    for score in sorted(groups, reverse=True):
+        if previous is not None and epsilon and _within(previous, score, epsilon):
+            tiers[-1].extend(groups[score])
         else:
-            tiers.append({ident})
-        previous_score = score
+            tiers.append(groups[score])
+        previous = score
     return from_tiers(tiers)
 
 
@@ -138,30 +187,37 @@ def _format_rows(order: WeakOrder, method: str, output_format: str) -> str:
         raise InputError(
             f"method {operator.name!r} needs a linear order, but the input contains ties"
         ) from None
-    rows = sorted(order.ground, key=lambda alt: (positions[alt], label_key(alt)))
+    # Rows go by position, then id.  Alternatives are bucketed by position,
+    # so only the distinct positions are sorted as fractions.
+    buckets: dict[Fraction, list[AltId]] = {}
+    for tier in order.tiers:
+        for alt in tier:
+            buckets.setdefault(positions[alt], []).append(alt)
+    ranked = [(position, sorted(buckets[position], key=label_key)) for position in sorted(buckets)]
 
     if output_format == "csv":
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["id", "position"])
-        for alt in rows:
-            writer.writerow([alt, str(positions[alt])])
+        for position, alts in ranked:
+            text = str(position)
+            writer.writerows([alt, text] for alt in alts)
         return out.getvalue()
 
-    payload = {
-        "method": operator.name,
-        "positions": [
-            {
-                "id": alt,
-                "position": {
-                    "numerator": positions[alt].numerator,
-                    "denominator": positions[alt].denominator,
-                },
-            }
-            for alt in rows
-        ],
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    # The bytes of json.dumps(payload, indent=2), one fragment per position;
+    # json.dumps writes each id, so its escaping is the same.
+    rows = []
+    for position, alts in ranked:
+        tail = (
+            f',\n      "position": {{\n        "numerator": {position.numerator},'
+            f'\n        "denominator": {position.denominator}\n      }}\n    }}'
+        )
+        rows.extend(f'    {{\n      "id": {json.dumps(alt)}{tail}' for alt in alts)
+    return (
+        f'{{\n  "method": {json.dumps(operator.name)},\n  "positions": [\n'
+        + ",\n".join(rows)
+        + "\n  ]\n}\n"
+    )
 
 
 def rank_payload(
@@ -175,11 +231,11 @@ def rank_payload(
 ) -> str:
     """Pure core of the ``rank`` subcommand: text in, formatted text out."""
     try:
-        epsilon = Fraction(tie_epsilon)
+        epsilon = parse_exact(tie_epsilon) if isinstance(tie_epsilon, str) else Fraction(tie_epsilon)
+        if epsilon < 0:
+            raise InputError(f"tie epsilon must be non-negative, got {to_fraction(epsilon)}")
     except (ValueError, ZeroDivisionError):
         raise InputError(f"tie epsilon is not an exact decimal: {tie_epsilon!r}") from None
-    if epsilon < 0:
-        raise InputError(f"tie epsilon must be non-negative, got {epsilon}")
     if input_format == "csv-scores":
         order = _order_from_scores(_parse_scores(text, has_header), epsilon)
     elif input_format == "json-tiers":
@@ -302,9 +358,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.handler(args, sys.stdout)
+        args = parser.parse_args(argv)
+        code = args.handler(args, sys.stdout)
+        # Flushed here, so that a reader gone early is met inside this try.
+        sys.stdout.flush()
+        return code
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # Nobody reads the rest.  Point stdout at the null device, so that
+        # the interpreter's own flush at exit cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE_CLOSED

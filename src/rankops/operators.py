@@ -28,6 +28,7 @@ from __future__ import annotations
 import re
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from decimal import Decimal, InvalidOperation
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, Iterator, Union
@@ -81,7 +82,10 @@ class PositionAssignment(Mapping):
     __slots__ = ("_positions",)
 
     def __init__(self, positions: Mapping[AltId, Rational]):
-        self._positions = {alt: Fraction(value) for alt, value in positions.items()}
+        self._positions = {
+            alt: value if type(value) is Fraction else Fraction(value)
+            for alt, value in positions.items()
+        }
 
     def __getitem__(self, alt: AltId) -> Fraction:
         return self._positions[alt]
@@ -140,10 +144,10 @@ def _by_tier(order: WeakOrder, value: Callable[[int, int, int], Rational]) -> Po
     number of alternatives in the tiers before it and ``size`` its own
     cardinality: the three quantities the tie-aware ranks are defined by.
     """
-    positions: dict[AltId, Rational] = {}
+    positions: dict[AltId, Fraction] = {}
     above = 0
     for depth, tier in enumerate(order.tiers, start=1):
-        position = value(depth, above, len(tier))
+        position = Fraction(value(depth, above, len(tier)))
         for alt in tier:
             positions[alt] = position
         above += len(tier)
@@ -292,6 +296,57 @@ def dense_over_tier_count(order: WeakOrder) -> PositionAssignment:
     return _by_tier(order, lambda depth, above, size: Fraction(depth, tiers))
 
 
+# ----- exact numbers from text ----------------------------------------------
+
+# The decimal spellings that Fraction(text) accepts: a sign, digits with single
+# underscores between them, an optional fraction part and an optional exponent.
+_DECIMAL = re.compile(r"[-+]?(?=\.?\d)\d*(?:_\d+)*(?:\.(?:\d+(?:_\d+)*)?)?(?:[eE][-+]?\d+(?:_\d+)*)?")
+# Decimal arithmetic stays far inside its exponent range below this bound.
+_EXPONENT_LIMIT = 10**15
+# Python prints no integer of more digits than this by default, so a power
+# of ten beyond it could never reach the output.
+_FRACTION_EXPONENT_LIMIT = 4300
+
+
+def parse_exact(text: str) -> Decimal | Fraction:
+    """Read an exact number written as a decimal or as ``p/q``.
+
+    Accepts the spellings ``Fraction(text)`` accepts, with the same values
+    and the same errors, but keeps a decimal as a :class:`Decimal`: its
+    comparisons and hashes are exact and never build 10**exponent, which
+    ``Fraction`` does.  The ``p/q`` form has no exponent, so it is read as a
+    ``Fraction``.  Either way the time taken is bounded by the text's length.
+    A decimal whose leading digit lies beyond 10**15 places from the point
+    raises ``ValueError``.
+    """
+    body = text.strip()
+    if "/" in body or not _DECIMAL.fullmatch(body):
+        # p/q, or a spelling that Fraction refuses too, with its own message.
+        return Fraction(text)
+    if len(body) > 640:
+        # Fraction reads each run of digits with int(), which refuses a run
+        # longer than Python's limit on integer strings (never below 640).
+        for run in re.split("[.eE]", body):
+            if run:
+                int(run)
+    try:
+        value = Decimal(body)
+        in_range = abs(value.adjusted()) <= _EXPONENT_LIMIT
+    except InvalidOperation:  # an exponent beyond even Decimal's range
+        in_range = False
+    if not in_range:
+        raise ValueError(f"exponent out of range: {text!r}")
+    return value
+
+
+def to_fraction(value: Decimal | Fraction) -> Fraction:
+    """``value`` as a Fraction, refusing a decimal exponent whose power of
+    ten would have more digits than Python prints."""
+    if isinstance(value, Decimal) and abs(value.as_tuple().exponent) > _FRACTION_EXPONENT_LIMIT:
+        raise ValueError(f"exponent out of range: {value}")
+    return Fraction(value)
+
+
 # ----- registry -------------------------------------------------------------
 
 
@@ -354,7 +409,7 @@ def get_operator(name: str) -> PositionOperator:
             if key not in ("a", "b") or key in params:
                 raise UnknownOperator(f"bad affine parameter list in {name!r}")
             try:
-                params[key] = Fraction(raw.strip())
+                params[key] = to_fraction(parse_exact(raw.strip()))
             except (ValueError, ZeroDivisionError) as exc:
                 raise UnknownOperator(f"bad affine coefficient in {name!r}: {exc}") from None
         if set(params) != {"a", "b"}:

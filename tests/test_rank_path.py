@@ -1,0 +1,382 @@
+"""The ``rank`` data path: exact decimal scores, bounded parsing, and a
+differential test against the earlier all-``Fraction`` implementation."""
+
+from __future__ import annotations
+
+import csv
+import importlib.util
+import io
+import json
+import os
+import re
+import subprocess
+import sys
+import time
+from decimal import Decimal
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from rankops import OPERATOR_NAMES, WeakOrder, dense, from_tiers, label_key
+from rankops.cli import (
+    EXIT_PIPE_CLOSED,
+    DuplicateId,
+    EmptyInput,
+    InputError,
+    ParseError,
+    UnknownMethod,
+    main,
+    rank_payload,
+)
+from rankops.operators import (
+    NegativeCoefficient,
+    NotLinear,
+    PositionAssignment,
+    UnknownOperator,
+    get_operator,
+    parse_exact,
+)
+
+REPO = Path(__file__).resolve().parents[1]
+
+_spec = importlib.util.spec_from_file_location("bench_inputs", REPO / "bench" / "inputs.py")
+bench_inputs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_inputs)
+
+
+# ----- the reference: rank's parse, tier and format steps on Fractions -------
+
+
+def _reference_parse_scores(text: str, has_header: bool) -> list[tuple[str, Fraction]]:
+    rows: list[tuple[str, Fraction]] = []
+    seen: set[str] = set()
+    reader = csv.reader(io.StringIO(text))
+    for line_no, row in enumerate(reader, start=1):
+        if has_header and line_no == 1:
+            continue
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != 2:
+            raise ParseError(f"line {line_no}: expected id,score but got {len(row)} fields")
+        ident, raw_score = row[0], row[1].strip()
+        if not ident:
+            raise ParseError(f"line {line_no}, column 1: empty id")
+        if ident in seen:
+            raise DuplicateId(f"line {line_no}: duplicate id {ident!r}")
+        seen.add(ident)
+        try:
+            score = Fraction(raw_score)
+        except (ValueError, ZeroDivisionError):
+            raise ParseError(
+                f"line {line_no}, column 2: not an exact decimal: {raw_score!r}"
+            ) from None
+        rows.append((ident, score))
+    if not rows:
+        raise EmptyInput("no data rows in input")
+    return rows
+
+
+def _reference_order_from_scores(rows: list[tuple[str, Fraction]], epsilon: Fraction) -> WeakOrder:
+    ordered = sorted(rows, key=lambda kv: kv[1], reverse=True)
+    tiers: list[set[str]] = []
+    previous_score: Fraction | None = None
+    for ident, score in ordered:
+        if previous_score is not None and previous_score - score <= epsilon:
+            tiers[-1].add(ident)
+        else:
+            tiers.append({ident})
+        previous_score = score
+    return from_tiers(tiers)
+
+
+def _reference_format_rows(order: WeakOrder, method: str, output_format: str) -> str:
+    try:
+        operator = get_operator(method)
+    except (UnknownOperator, NegativeCoefficient) as exc:
+        raise UnknownMethod(str(exc)) from None
+    try:
+        positions = operator(order)
+    except NotLinear:
+        raise InputError(
+            f"method {operator.name!r} needs a linear order, but the input contains ties"
+        ) from None
+    rows = sorted(order.ground, key=lambda alt: (positions[alt], label_key(alt)))
+
+    if output_format == "csv":
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(["id", "position"])
+        for alt in rows:
+            writer.writerow([alt, str(positions[alt])])
+        return out.getvalue()
+
+    payload = {
+        "method": operator.name,
+        "positions": [
+            {
+                "id": alt,
+                "position": {
+                    "numerator": positions[alt].numerator,
+                    "denominator": positions[alt].denominator,
+                },
+            }
+            for alt in rows
+        ],
+    }
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def _reference(text: str, method: str, output_format: str, epsilon: str, has_header: bool) -> str:
+    rows = _reference_parse_scores(text, has_header)
+    order = _reference_order_from_scores(rows, Fraction(epsilon))
+    return _reference_format_rows(order, method, output_format)
+
+
+def _outcome(run) -> tuple[str, object]:
+    try:
+        return "ok", run()
+    except InputError as exc:
+        return "error", type(exc)
+
+
+# ----- the differential test -------------------------------------------------
+
+METHODS = (*OPERATOR_NAMES, "affine:a=0/1,b=3/2", "affine:a=1/3,b=2")
+# Gaps of one to five units of 10**-SCALE chain, and some epsilons are p/q.
+EPSILONS = ("0", "0.001", "0.002", "0.0025", "5e-3", "1/300", "0")
+BAD_SCORES = ("nan", "inf", "Infinity", "sNaN", "0x10", "", "1__0", "_1", "1.d", "1/0", "x")
+
+ids = st.text(alphabet="ab,\"é 1", min_size=1, max_size=3)
+
+
+@st.composite
+def score_texts(draw) -> str:
+    # Hypothesis favours the ends of a range, so the rare kinds sit inside it.
+    kind = draw(st.integers(0, 39))
+    if kind == 17:
+        return draw(st.sampled_from(BAD_SCORES))
+    if kind in (3, 11, 23, 31):
+        return f"{draw(st.integers(-40, 40))}/{draw(st.integers(1, 12))}"
+    # Small integers make exact ties and chained gaps frequent.
+    return bench_inputs.render_score(draw(st.integers(-12, 12)), draw(st.integers(0, 2)))
+
+
+@st.composite
+def csv_texts(draw) -> tuple[str, bool]:
+    idents = draw(st.lists(ids, unique=True, max_size=14))
+    if idents and draw(st.integers(0, 30)) == 13:
+        idents.append(idents[0])
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator=draw(st.sampled_from(["\n", "\r\n"])))
+    for ident in idents:
+        extra = ["9"] if draw(st.integers(0, 60)) == 29 else []
+        writer.writerow([ident, draw(score_texts()), *extra])
+    has_header = draw(st.booleans())
+    return ("id,score\n" if has_header else "") + out.getvalue(), has_header
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    csv_texts(),
+    st.sampled_from(METHODS),
+    st.sampled_from(["csv", "json"]),
+    st.sampled_from(EPSILONS),
+)
+def test_rank_matches_the_fraction_reference(data, method, output_format, epsilon):
+    text, has_header = data
+    expected = _outcome(lambda: _reference(text, method, output_format, epsilon, has_header))
+    actual = _outcome(
+        lambda: rank_payload(
+            text,
+            method=method,
+            output_format=output_format,
+            tie_epsilon=epsilon,
+            has_header=has_header,
+        )
+    )
+    assert actual == expected
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("output_format", ["csv", "json"])
+def test_rank_matches_the_reference_on_bench_inputs(method, output_format):
+    for text, epsilon in (
+        (bench_inputs.ties_csv(1, rows=600, count=60), bench_inputs.TIES_EPSILON),
+        (bench_inputs.ties_csv(2, rows=300, count=30), "0"),
+        (bench_inputs.distinct_csv(1, rows=300), "0"),
+    ):
+        expected = _outcome(lambda: _reference(text, method, output_format, epsilon, False))
+        actual = _outcome(
+            lambda: rank_payload(
+                text, method=method, output_format=output_format, tie_epsilon=epsilon
+            )
+        )
+        assert actual == expected
+
+
+# ----- score syntax ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("text", ["1_000", "+.5", "5.", "-0", "1E-3", "15e-1", "1/3", " 7 ", "-2/6"])
+def test_scores_keep_their_fraction_values(text):
+    assert parse_exact(text) == Fraction(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1" * 4300, "1" * 4301, "-0." + "1_2" * 2150, "5e-" + "0" * 4301, "١" * 4301],
+    ids=["4300-digits", "4301-digits", "long-fraction-part", "long-exponent", "arabic-indic"],
+)
+def test_long_digit_runs_are_refused_as_fraction_refuses_them(text):
+    try:
+        expected = Fraction(text)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as refused:
+            parse_exact(text)
+        assert str(refused.value) == str(exc)
+    else:
+        assert parse_exact(text) == expected
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "Infinity", "-Infinity", "sNaN", "0x10", ""])
+def test_non_finite_and_foreign_scores_exit_2(text, tmp_path, capsys):
+    path = tmp_path / "scores.csv"
+    path.write_text(f"a,1\nb,{text}\n", encoding="utf-8")
+    assert main(["rank", "--method", "dense", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: line 2, column 2: not an exact decimal: {text!r}\n"
+
+
+@given(
+    # Exponents of at most three digits keep Fraction itself fast.
+    st.text(alphabet="0123456789_.eE+-/ ", max_size=12).filter(
+        lambda t: not re.search(r"[eE][-+]?[\d_]{4}", t)
+    )
+)
+def test_parse_exact_accepts_what_fraction_accepts(text):
+    try:
+        expected = Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        with pytest.raises(type(exc)):
+            parse_exact(text)
+    else:
+        assert parse_exact(text) == expected
+
+
+def test_decimal_and_fraction_scores_share_a_tier():
+    out = rank_payload("a,0.5\nb,1/2\nc,2/4\nd,1/3\n", method="dense")
+    assert out == "id,position\na,1\nb,1\nc,1\nd,2\n"
+    assert {type(parse_exact(t)) for t in ("0.5", "1/2")} == {Decimal, Fraction}
+
+
+# ----- no short input runs unbounded -----------------------------------------
+
+HUGE_LIMIT_S = 20.0
+
+
+def _run(args: list[str], stdin: str) -> tuple[subprocess.CompletedProcess, float]:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    start = time.perf_counter()
+    result = subprocess.run(
+        [sys.executable, "-m", "rankops", *args],
+        input=stdin,
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=REPO,
+        timeout=HUGE_LIMIT_S,
+    )
+    return result, time.perf_counter() - start
+
+
+@pytest.mark.parametrize(
+    "args, stdin, stdout",
+    [
+        (["--tie-epsilon", "1e20000000"], "a,1\nb,2\n", "id,position\na,1\nb,1\n"),
+        (["--tie-epsilon", "0.005"], "a,1e20000000\nb,1\n", "id,position\na,1\nb,2\n"),
+        ([], bench_inputs.HUGE_EXPONENT_CSV, "id,position\na,1\nc,2\nb,3\n"),
+        (["--tie-epsilon", "1/3"], bench_inputs.HUGE_EXPONENT_CSV, "id,position\na,1\nc,2\nb,3\n"),
+        (["--tie-epsilon", "1e-20000000"], "a,1e-20000000\nb,0\nc,-1e-20000000\n", "id,position\na,1\nb,1\nc,1\n"),
+    ],
+)
+def test_huge_exponents_finish_quickly(args, stdin, stdout):
+    result, wall = _run(["rank", "--method", "dense", *args], stdin)
+    assert (result.returncode, result.stdout, result.stderr) == (0, stdout, "")
+    assert wall < HUGE_LIMIT_S
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--method", "affine:a=1e20000000,b=0"],
+        ["--method", "dense", "--tie-epsilon=-1e20000000"],
+        ["--method", "dense", "--tie-epsilon", "1e99999999999999999999"],
+        ["--method", "dense", "--tie-epsilon", "1e2000000000000000"],
+    ],
+)
+def test_out_of_range_exponents_exit_2_with_one_line(args):
+    result, wall = _run(["rank", *args], "a,1\nb,2\n")
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+    assert "Traceback" not in result.stderr
+    assert wall < HUGE_LIMIT_S
+
+
+def test_epsilon_gaps_are_exact_at_any_scale():
+    def tiers(text: str, epsilon: str) -> str:
+        return rank_payload(text, method="dense", tie_epsilon=epsilon).replace("\n", " ")
+
+    # A gap of 1e-30 is within 1e-30; a gap one digit longer is not.
+    assert tiers("a,1e-30\nb,0\n", "1e-30") == "id,position a,1 b,1 "
+    assert tiers("a,11e-31\nb,0\n", "1e-30") == "id,position a,1 b,2 "
+    assert tiers("a,1/3\nb,0\n", "1/3") == "id,position a,1 b,1 "
+    # Rounded up to one digit, the gap 0.0021 would pass 0.0025.
+    assert tiers("a,0.0021\nb,0\n", "0.0025") == "id,position a,1 b,1 "
+    assert tiers("a,0.0026\nb,0\n", "0.0025") == "id,position a,1 b,2 "
+    # Gaps of 1/3 - 1e-28 and 1/3 + 1e-28 beside 1e9, against epsilon 1/3.
+    digits = "6" * 27
+    assert tiers(f"a,1000000000\nb,999999999.{digits}7\n", "1/3") == "id,position a,1 b,1 "
+    assert tiers(f"a,1000000000\nb,999999999.{digits}6\n", "1/3") == "id,position a,1 b,2 "
+
+
+# ----- a reader that leaves early ---------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["enumerate", "5"], ["enumerate", "3", "--count-only"], ["verify", "--max-n", "3"], ["rank", "--method", "dense"]],
+)
+def test_closed_stdout_exits_quietly(args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "rankops", *args],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+        cwd=REPO,
+    )
+    # Closing the read end first makes every write of the child fail.
+    proc.stdout.close()
+    _, stderr = proc.communicate(b"a,1\nb,2\n", timeout=60)
+    assert (proc.returncode, stderr) == (EXIT_PIPE_CLOSED, b"")
+    assert EXIT_PIPE_CLOSED not in (0, 1, 2)
+
+
+# ----- positions are made once per tier ----------------------------------------
+
+
+def test_one_fraction_per_tier():
+    order = from_tiers([{"a", "b", "c"}, {"d"}])
+    positions = dense(order)
+    assert positions["a"] is positions["b"] is positions["c"]
+    assert type(positions["d"]) is Fraction
+    # Fractions are kept as they are; other values are still coerced.
+    half = Fraction(1, 2)
+    coerced = PositionAssignment({"x": half, "y": 2, "z": "3/4"})
+    assert coerced["x"] is half
+    assert (coerced["y"], coerced["z"]) == (Fraction(2), Fraction(3, 4))
+    assert type(coerced["y"]) is Fraction
