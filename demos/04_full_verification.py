@@ -2,10 +2,11 @@
 # The full verification pass: every registered operator against every
 # property, plus the implication instances between properties.
 #
-# The dense rank is the only operator passing all seven checks. Each foil
-# operator breaks a precisely chosen subset, which is what makes the
-# bundles {sequentiality, duplication} and {sequentiality, truncation,
-# ud-independency} pin the dense rank down uniquely.
+# The dense rank is the only registered operator passing all seven checks.
+# Each foil breaks a precisely chosen subset, so no other registered
+# operator passes {sequentiality, duplication} or {sequentiality,
+# truncation, ud-independency}. The paper proves that each bundle singles
+# out the dense rank among all position operators; that is not checked here.
 
 from rankops import Axiom, verify_implications, verify_matrix
 

@@ -24,9 +24,11 @@ The dense rank passes all seven checks.  It is the only registered
 operator that combines sequentiality with duplication, and the only one
 combining sequentiality, truncation and ud-independency; the foil
 operators exist to show that dropping any one property in those bundles
-re-admits other operators.  ``EXPECTED_MATRIX`` records the anticipated
-verdict for every operator/property cell, and ``verify_matrix`` confirms
-the engine reproduces it.  ``verify_implications`` checks, per operator,
+re-admits other operators.  Only the registry is checked: the paper's
+two characterizations cover every position operator, which no check
+here does.  ``EXPECTED_MATRIX`` records the anticipated verdict for every
+operator/property cell, and ``verify_matrix`` confirms the engine
+reproduces it.  ``verify_implications`` checks, per operator,
 the known entailments between the properties (for example, an operator
 stable under duplication is automatically neutral).
 """
@@ -161,11 +163,6 @@ def _fresh_clone(ground: frozenset[AltId]) -> str:
     while f"+c{k}" in ground:
         k += 1
     return f"+c{k}"
-
-
-def _require_bound(max_n: int, minimum: int = 2) -> None:
-    if max_n < minimum:
-        raise ValueError(f"max_n must be at least {minimum}, got {max_n}")
 
 
 # ----- axiom definitions ----------------------------------------------------
@@ -332,7 +329,8 @@ _NEEDS_TIES = frozenset({Axiom.DUPLICATION, Axiom.UD_INDEPENDENCY})
 def _check(op: PositionOperator, axiom: Axiom, max_n: int) -> AxiomReport:
     """Run one axiom's definition over every order on x1..xn, n = 1..max_n,
     and stop at the first violating case."""
-    _require_bound(max_n)
+    if max_n < 2:
+        raise ValueError(f"max_n must be at least 2, got {max_n}")
     if axiom in _NEEDS_TIES and op.domain is Domain.LINEAR_ONLY:
         return AxiomReport(op.name, axiom, max_n, Verdict.NOT_APPLICABLE, 0, None)
     # Sequentiality speaks of linear orders only; every other axiom ranges
@@ -646,14 +644,11 @@ class MatrixMismatch(Exception):
         super().__init__(f"{len(mismatches)} cell(s) deviate from the expected matrix: {cells}")
 
 
-def run_axiom_reports(
-    max_n: int, operators: Sequence[str] | None = None
-) -> dict[tuple[str, Axiom], AxiomReport]:
-    """Run all seven checkers for the given operators (default: all)."""
-    names = tuple(operators) if operators is not None else tuple(REGISTRY)
+def run_axiom_reports(max_n: int) -> dict[tuple[str, Axiom], AxiomReport]:
+    """Run all seven checkers for every registered operator."""
     return {
-        (name, axiom): CHECKERS[axiom](REGISTRY[name], max_n)
-        for name in names
+        (name, axiom): CHECKERS[axiom](operator, max_n)
+        for name, operator in REGISTRY.items()
         for axiom in Axiom
     }
 
@@ -677,16 +672,15 @@ def _cells(reports: Mapping[tuple[str, Axiom], AxiomReport]) -> list[CellResult]
     return results
 
 
-def verify_matrix(max_n: int, *, require_match: bool = True) -> list[CellResult]:
+def verify_matrix(max_n: int) -> list[CellResult]:
     """Check every registered operator against the expected verdict matrix.
 
-    Returns one result per cell, in registry-by-axiom order.  With
-    ``require_match`` (the default) a deviation raises
-    :class:`MatrixMismatch`, which still carries all results.
+    Returns one result per cell, in registry-by-axiom order.  A deviation
+    raises :class:`MatrixMismatch`, which still carries all results.
     """
     results = _cells(run_axiom_reports(max_n))
     mismatches = [cell for cell in results if not cell.matches]
-    if mismatches and require_match:
+    if mismatches:
         raise MatrixMismatch(results, mismatches)
     return results
 

@@ -20,12 +20,13 @@ import io
 import json
 import math
 import os
+import re
 import sys
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_CEILING, Context, Decimal
 from fractions import Fraction
-from typing import Sequence, TextIO, Union
+from typing import Iterator, NoReturn, Sequence, TextIO, Union
 
-from .axioms import build_verification_document
+from .axioms import build_verification_document, engine_ground
 from .operators import (
     NegativeCoefficient,
     NotLinear,
@@ -78,12 +79,20 @@ Score = Union[Decimal, Fraction]
 EXIT_PIPE_CLOSED = 141
 
 
-def _parse_scores(text: str, has_header: bool) -> list[tuple[str, Score]]:
-    """Parse ``id,score`` CSV rows into exact scores."""
-    rows: list[tuple[str, Score]] = []
-    seen: set[str] = set()
+def _csv_rows(text: str) -> Iterator[list[str]]:
+    """The rows of CSV text; a row the csv module refuses is a ParseError."""
     reader = csv.reader(io.StringIO(text))
-    for line_no, row in enumerate(reader, start=1):
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ParseError(f"line {reader.line_num}: {exc}") from None
+
+
+def _parse_scores(text: str, has_header: bool) -> dict[Score, list[str]]:
+    """Parse ``id,score`` CSV rows, grouping the ids by exact score."""
+    groups: dict[Score, list[str]] = {}
+    seen: set[str] = set()
+    for line_no, row in enumerate(_csv_rows(text), start=1):
         if has_header and line_no == 1:
             continue
         if not row or (len(row) == 1 and not row[0].strip()):
@@ -102,10 +111,10 @@ def _parse_scores(text: str, has_header: bool) -> list[tuple[str, Score]]:
             raise ParseError(
                 f"line {line_no}, column 2: not an exact decimal: {raw_score!r}"
             ) from None
-        rows.append((ident, score))
-    if not rows:
+        groups.setdefault(score, []).append(ident)
+    if not groups:
         raise EmptyInput("no data rows in input")
-    return rows
+    return groups
 
 
 # Decimal arithmetic without rounding, over the exponents parse_exact allows.
@@ -135,7 +144,7 @@ def _within(high: Score, low: Score, epsilon: Score) -> bool:
     return up.subtract(high, low) <= epsilon
 
 
-def _order_from_scores(rows: list[tuple[str, Score]], epsilon: Score) -> WeakOrder:
+def _order_from_scores(groups: dict[Score, list[str]], epsilon: Score) -> WeakOrder:
     """Group scores into tiers, higher score = better tier.
 
     With epsilon zero, only exactly equal scores share a tier.  A positive
@@ -143,9 +152,6 @@ def _order_from_scores(rows: list[tuple[str, Score]], epsilon: Score) -> WeakOrd
     the gap is at most epsilon, which can merge scores farther apart than
     epsilon itself.
     """
-    groups: dict[Score, list[str]] = {}
-    for ident, score in rows:
-        groups.setdefault(score, []).append(ident)
     tiers: list[list[str]] = []
     previous: Score | None = None
     # Only the distinct scores are sorted, and only adjacent ones compared.
@@ -161,7 +167,9 @@ def _order_from_scores(rows: list[tuple[str, Score]], epsilon: Score) -> WeakOrd
 def _parse_tiers_json(text: str) -> WeakOrder:
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # Malformed JSON, an integer longer than Python reads, or nesting
+        # deeper than the recursion limit.
         raise ParseError(f"invalid JSON: {exc}") from None
     try:
         order = weak_order_from_json(payload)
@@ -187,6 +195,8 @@ def _format_rows(order: WeakOrder, method: str, output_format: str) -> str:
         raise InputError(
             f"method {operator.name!r} needs a linear order, but the input contains ties"
         ) from None
+    except ValueError as exc:  # list-index reads an integer off each id
+        raise InputError(f"method {method!r}: {exc}") from None
     # Rows go by position, then id.  Alternatives are bucketed by position,
     # so only the distinct positions are sorted as fractions.
     buckets: dict[Fraction, list[AltId]] = {}
@@ -194,7 +204,16 @@ def _format_rows(order: WeakOrder, method: str, output_format: str) -> str:
         for alt in tier:
             buckets.setdefault(positions[alt], []).append(alt)
     ranked = [(position, sorted(buckets[position], key=label_key)) for position in sorted(buckets)]
+    try:
+        return _render(operator.name, ranked, output_format)
+    except ValueError:  # Python prints no integer longer than its limit
+        raise InputError(
+            f"method {method!r} gives a position with more digits than Python prints"
+        ) from None
 
+
+def _render(name: str, ranked: list[tuple[Fraction, list[AltId]]], output_format: str) -> str:
+    """The rows of each position, best first, as CSV or as JSON text."""
     if output_format == "csv":
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
@@ -214,7 +233,7 @@ def _format_rows(order: WeakOrder, method: str, output_format: str) -> str:
         )
         rows.extend(f'    {{\n      "id": {json.dumps(alt)}{tail}' for alt in alts)
     return (
-        f'{{\n  "method": {json.dumps(operator.name)},\n  "positions": [\n'
+        f'{{\n  "method": {json.dumps(name)},\n  "positions": [\n'
         + ",\n".join(rows)
         + "\n  ]\n}\n"
     )
@@ -230,8 +249,10 @@ def rank_payload(
     has_header: bool = False,
 ) -> str:
     """Pure core of the ``rank`` subcommand: text in, formatted text out."""
+    if output_format not in ("csv", "json"):
+        raise InputError(f"unknown output format {output_format!r}")
     try:
-        epsilon = parse_exact(tie_epsilon) if isinstance(tie_epsilon, str) else Fraction(tie_epsilon)
+        epsilon = parse_exact(str(tie_epsilon))
         if epsilon < 0:
             raise InputError(f"tie epsilon must be non-negative, got {to_fraction(epsilon)}")
     except (ValueError, ZeroDivisionError):
@@ -305,14 +326,20 @@ def _cmd_enumerate(args: argparse.Namespace, stdout: TextIO) -> int:
     if args.count_only:
         stdout.write(f"{ordered_bell(args.n)}\n")
         return 0
-    ground = tuple(f"x{i}" for i in range(1, args.n + 1))
-    for order in enumerate_weak_orders(ground):
+    for order in enumerate_weak_orders(engine_ground(args.n)):
         stdout.write(json.dumps(weak_order_to_json(order), separators=(",", ":")) + "\n")
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors reach main as one line."""
+
+    def error(self, message: str) -> NoReturn:
+        raise InputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rankops",
         description="Rank data with tie-aware position operators and verify their properties.",
     )
@@ -358,6 +385,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse takes a value such as -1/3 for an option; joined to its flag
+    # it reads as --tie-epsilon=-1/3 does.
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1] == "--tie-epsilon" and re.match(r"-[\d.]", argv[i]):
+            argv[i - 1 : i + 1] = [f"--tie-epsilon={argv[i]}"]
     try:
         args = parser.parse_args(argv)
         code = args.handler(args, sys.stdout)
@@ -365,7 +398,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         sys.stdout.flush()
         return code
     except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # One line, even where the message quotes an argument as it was given.
+        print(f"error: {' '.join(str(exc).splitlines())}", file=sys.stderr)
         return 2
     except BrokenPipeError:
         # Nobody reads the rest.  Point stdout at the null device, so that

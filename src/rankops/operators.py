@@ -25,7 +25,9 @@ can iterate over the full set uniformly.
 
 from __future__ import annotations
 
+import functools
 import re
+import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
@@ -83,7 +85,7 @@ class PositionAssignment(Mapping):
 
     def __init__(self, positions: Mapping[AltId, Rational]):
         self._positions = {
-            alt: value if type(value) is Fraction else Fraction(value)
+            alt: value if type(value) is Fraction else to_fraction(value)
             for alt, value in positions.items()
         }
 
@@ -221,7 +223,7 @@ def quotient(order: WeakOrder) -> PositionAssignment:
 
 def _coefficients(a: Rational, b: Rational) -> tuple[Fraction, Fraction]:
     """The affine coefficients as exact fractions, rejecting negative ones."""
-    a, b = Fraction(a), Fraction(b)
+    a, b = to_fraction(a), to_fraction(b)
     if a < 0 or b < 0:
         raise NegativeCoefficient(f"coefficients must be non-negative, got a={a}, b={b}")
     return a, b
@@ -303,9 +305,6 @@ def dense_over_tier_count(order: WeakOrder) -> PositionAssignment:
 _DECIMAL = re.compile(r"[-+]?(?=\.?\d)\d*(?:_\d+)*(?:\.(?:\d+(?:_\d+)*)?)?(?:[eE][-+]?\d+(?:_\d+)*)?")
 # Decimal arithmetic stays far inside its exponent range below this bound.
 _EXPONENT_LIMIT = 10**15
-# Python prints no integer of more digits than this by default, so a power
-# of ten beyond it could never reach the output.
-_FRACTION_EXPONENT_LIMIT = 4300
 
 
 def parse_exact(text: str) -> Decimal | Fraction:
@@ -339,12 +338,32 @@ def parse_exact(text: str) -> Decimal | Fraction:
     return value
 
 
-def to_fraction(value: Decimal | Fraction) -> Fraction:
-    """``value`` as a Fraction, refusing a decimal exponent whose power of
-    ten would have more digits than Python prints."""
-    if isinstance(value, Decimal) and abs(value.as_tuple().exponent) > _FRACTION_EXPONENT_LIMIT:
-        raise ValueError(f"exponent out of range: {value}")
-    return Fraction(value)
+def to_fraction(value: Rational | Decimal) -> Fraction:
+    """``value`` as a Fraction: the one way a number from outside becomes one.
+
+    Text is read by :func:`parse_exact`, so its time is bounded by its
+    length.  A numerator or denominator with more digits than Python prints
+    (``sys.get_int_max_str_digits()``, or its default when that limit is
+    off) raises ``ValueError``; a decimal that large is refused before its
+    power of ten is built.
+    """
+    if isinstance(value, str):
+        value = parse_exact(value)
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    # A non-zero decimal's leading digit lies |adjusted| places from the
+    # point, so beyond the limit its numerator or denominator is too long.
+    if isinstance(value, Decimal) and value and abs(value.adjusted()) > limit:
+        raise ValueError(f"more digits than Python prints ({limit})")
+    fraction = Fraction(value)
+    bound = _power_of_ten(limit)
+    if abs(fraction.numerator) >= bound or fraction.denominator >= bound:
+        raise ValueError(f"more digits than Python prints ({limit})")
+    return fraction
+
+
+@functools.cache
+def _power_of_ten(digits: int) -> int:
+    return 10**digits
 
 
 # ----- registry -------------------------------------------------------------
@@ -409,7 +428,7 @@ def get_operator(name: str) -> PositionOperator:
             if key not in ("a", "b") or key in params:
                 raise UnknownOperator(f"bad affine parameter list in {name!r}")
             try:
-                params[key] = to_fraction(parse_exact(raw.strip()))
+                params[key] = to_fraction(raw.strip())
             except (ValueError, ZeroDivisionError) as exc:
                 raise UnknownOperator(f"bad affine coefficient in {name!r}: {exc}") from None
         if set(params) != {"a", "b"}:

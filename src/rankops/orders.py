@@ -17,7 +17,6 @@ weak or linear orders on a ground set.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -421,9 +420,8 @@ def weak_order_to_json(order: WeakOrder) -> dict:
 
 
 def weak_order_from_json(payload: object) -> WeakOrder:
-    """Parse the interchange form produced by :func:`weak_order_to_json`."""
-    if isinstance(payload, str):
-        payload = json.loads(payload)
+    """Build an order from the decoded interchange form produced by
+    :func:`weak_order_to_json`."""
     if not isinstance(payload, dict) or "tiers" not in payload:
         raise OrderError('expected an object with a "tiers" key')
     tiers = payload["tiers"]
