@@ -52,6 +52,7 @@ from .orders import (
 from .operators import (
     REGISTRY,
     Domain,
+    PositionAssignment,
     PositionOperator,
     sequential,
 )
@@ -141,16 +142,6 @@ class AxiomReport:
     cases_checked: int
     witness: Witness | None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "operator": self.operator,
-            "axiom": self.axiom.value,
-            "maxN": self.max_n,
-            "verdict": self.verdict.value,
-            "casesChecked": self.cases_checked,
-            "witness": None if self.witness is None else self.witness.to_json_dict(),
-        }
-
 
 def engine_ground(n: int) -> tuple[str, ...]:
     """The canonical ground set the engine quantifies over: x1..xn."""
@@ -168,21 +159,24 @@ def _fresh_clone(ground: frozenset[AltId]) -> str:
 # ----- axiom definitions ----------------------------------------------------
 #
 # Each axiom is defined once, as a generator over the cases of one order.
-# A case yields the order it compares against (None when it needs only the
-# base order) and its first violating comparison as (subject, other,
-# before, after, detail), or None when the case holds.  The checkers, their
-# case counts and ``replay_witness`` are all views of these generators.
+# The driver (``_check``, or ``replay_witness``) evaluates the base order
+# and passes its positions in as ``base``; a definition calls ``at`` only
+# for the orders it derives from the base.  A case yields the order it
+# compares against (None when it needs only the base order) and its first
+# violating comparison as (subject, other, before, after, detail), or None
+# when the case holds.  The checkers, their case counts and
+# ``replay_witness`` are all views of these generators.
 
 Case = tuple["WeakOrder | None", "tuple[AltId, AltId | None, Fraction, Fraction, str] | None"]
+At = Callable[[WeakOrder], PositionAssignment]
 
 
-def _equality_cases(op: PositionOperator, order: WeakOrder) -> Iterator[Case]:
-    positions = op(order)
+def _equality_cases(at: At, order: WeakOrder, base: PositionAssignment) -> Iterator[Case]:
     for tier in order.tiers:
         for a, b in itertools.combinations(sorted(tier, key=label_key), 2):
-            if positions[a] != positions[b]:
+            if base[a] != base[b]:
                 detail = f"tied alternatives {a} and {b} in [{order}] got distinct positions"
-                yield None, (a, b, positions[a], positions[b], detail)
+                yield None, (a, b, base[a], base[b], detail)
             else:
                 yield None, None
 
@@ -205,12 +199,11 @@ def _permutations_for(ground: tuple[AltId, ...]) -> list[dict[AltId, AltId]]:
     return sigmas
 
 
-def _neutrality_cases(op: PositionOperator, order: WeakOrder) -> Iterator[Case]:
-    base = op(order)
+def _neutrality_cases(at: At, order: WeakOrder, base: PositionAssignment) -> Iterator[Case]:
     alternatives = order.sorted_alternatives()
     for sigma in _permutations_for(tuple(alternatives)):
         relabeled = order.relabel(sigma)
-        moved = op(relabeled)
+        moved = at(relabeled)
         for alt in alternatives:
             if moved[sigma[alt]] != base[alt]:
                 detail = f"relabelling {alt}->{sigma[alt]} changed the transported position"
@@ -220,38 +213,35 @@ def _neutrality_cases(op: PositionOperator, order: WeakOrder) -> Iterator[Case]:
             yield relabeled, None
 
 
-def _sequentiality_cases(op: PositionOperator, order: WeakOrder) -> Iterator[Case]:
+def _sequentiality_cases(at: At, order: WeakOrder, base: PositionAssignment) -> Iterator[Case]:
     expected = sequential(order)
-    got = op(order)
     for alt in order.sorted_alternatives():
-        if got[alt] != expected[alt]:
+        if base[alt] != expected[alt]:
             detail = f"linear order [{order}] should place {alt} at {expected[alt]}"
-            yield None, (alt, None, expected[alt], got[alt], detail)
+            yield None, (alt, None, expected[alt], base[alt], detail)
             return
     yield None, None
 
 
-def _truncation_cases(op: PositionOperator, order: WeakOrder) -> Iterator[Case]:
+def _truncation_cases(at: At, order: WeakOrder, base: PositionAssignment) -> Iterator[Case]:
     if order.num_tiers < 2:
         return
     truncated = order.truncate_bottom()
-    before = op(order)
-    after = op(truncated)
+    after = at(truncated)
     for alt in truncated.sorted_alternatives():
-        if after[alt] != before[alt]:
+        if after[alt] != base[alt]:
             detail = f"dropping the bottom tier of [{order}] moved {alt}"
-            yield truncated, (alt, None, before[alt], after[alt], detail)
+            yield truncated, (alt, None, base[alt], after[alt], detail)
             return
     yield truncated, None
 
 
-def _duplication_cases(op: PositionOperator, order: WeakOrder) -> Iterator[Case]:
-    base = op(order)
+def _duplication_cases(at: At, order: WeakOrder, base: PositionAssignment) -> Iterator[Case]:
     clone = _fresh_clone(order.ground)
     alternatives = order.sorted_alternatives()
     for pattern in alternatives:
         extended = order.duplicate(pattern, clone)
-        moved = op(extended)
+        moved = at(extended)
         for alt in alternatives:
             if moved[alt] != base[alt]:
                 detail = f"cloning {pattern} in [{order}] moved {alt}"
@@ -265,8 +255,7 @@ def _duplication_cases(op: PositionOperator, order: WeakOrder) -> Iterator[Case]
                 yield extended, None
 
 
-def _ud_independency_cases(op: PositionOperator, order: WeakOrder) -> Iterator[Case]:
-    base = op(order)
+def _ud_independency_cases(at: At, order: WeakOrder, base: PositionAssignment) -> Iterator[Case]:
     alternatives = order.sorted_alternatives()
     for mover in alternatives:
         source = order.tier_index_of(mover)
@@ -276,7 +265,7 @@ def _ud_independency_cases(op: PositionOperator, order: WeakOrder) -> Iterator[C
             if target == source:
                 continue
             moved_order = order.ud_move(mover, target)
-            moved = op(moved_order)
+            moved = at(moved_order)
             for alt in alternatives:
                 if alt != mover and moved[alt] != base[alt]:
                     detail = (
@@ -289,26 +278,25 @@ def _ud_independency_cases(op: PositionOperator, order: WeakOrder) -> Iterator[C
                 yield moved_order, None
 
 
-def _monotonicity_cases(op: PositionOperator, order: WeakOrder) -> Iterator[Case]:
-    positions = op(order)
+def _monotonicity_cases(at: At, order: WeakOrder, base: PositionAssignment) -> Iterator[Case]:
     alternatives = order.sorted_alternatives()
     for a in alternatives:
         for b in alternatives:
             if a == b:
                 continue
             weakly = order.weakly_prefers(a, b)
-            le = positions[a] <= positions[b]
+            le = base[a] <= base[b]
             if weakly != le:
                 detail = (
                     f"in [{order}]: {a} R {b} is {weakly} but "
                     f"position({a}) <= position({b}) is {le}"
                 )
-                yield None, (a, b, positions[a], positions[b], detail)
+                yield None, (a, b, base[a], base[b], detail)
             else:
                 yield None, None
 
 
-_DEFINITIONS: dict[Axiom, Callable[[PositionOperator, WeakOrder], Iterator[Case]]] = {
+_DEFINITIONS: dict[Axiom, Callable[[At, WeakOrder, PositionAssignment], Iterator[Case]]] = {
     Axiom.EQUALITY: _equality_cases,
     Axiom.NEUTRALITY: _neutrality_cases,
     Axiom.SEQUENTIALITY: _sequentiality_cases,
@@ -341,7 +329,7 @@ def _check(op: PositionOperator, axiom: Axiom, max_n: int) -> AxiomReport:
     cases = 0
     for n in range(1, max_n + 1):
         for order in universe(engine_ground(n)):
-            for transformed, violation in cases_of(op, order):
+            for transformed, violation in cases_of(op, order, op(order)):
                 cases += 1
                 if violation is not None:
                     witness = Witness(order, transformed, *violation)
@@ -438,7 +426,7 @@ def replay_witness(op: PositionOperator, axiom: Axiom, witness: Witness) -> bool
     claim = (witness.subject, witness.other, witness.before, witness.after)
     return any(
         transformed == witness.transformed and violation is not None and violation[:4] == claim
-        for transformed, violation in _DEFINITIONS[axiom](op, witness.base)
+        for transformed, violation in _DEFINITIONS[axiom](op, witness.base, op(witness.base))
     )
 
 

@@ -31,6 +31,7 @@ from .operators import (
     NegativeCoefficient,
     NotLinear,
     UnknownOperator,
+    _digit_limit,
     get_operator,
     parse_exact,
     to_fraction,
@@ -74,16 +75,29 @@ class EmptyInput(InputError):
 # hash exactly with each other, so equal scores are one key either way.
 Score = Union[Decimal, Fraction]
 
+# The line breaks the csv module reads: \r\n, \n or a lone \r.
+_LINE_BREAK = re.compile(r"\r\n?|\n")
+
+# An error line quotes at most this many characters of its message.
+_ERROR_CHARS = 200
+
 # Exit code when the reader of stdout leaves early, as ``| head`` does: the
 # status a process killed by SIGPIPE reports, 128 + 13.
 EXIT_PIPE_CLOSED = 141
 
 
-def _csv_rows(text: str) -> Iterator[list[str]]:
-    """The rows of CSV text; a row the csv module refuses is a ParseError."""
-    reader = csv.reader(io.StringIO(text))
+def _csv_rows(text: str) -> Iterator[tuple[int, list[str]]]:
+    r"""The rows of CSV text, each with the line it starts on.
+
+    Lines end at ``\n``, ``\r\n`` or ``\r``, and a quoted field keeps its
+    line breaks as written.  A row the csv module refuses is a ParseError.
+    """
+    reader = csv.reader(io.StringIO(text, newline=""))
     try:
-        yield from reader
+        start = 1
+        for row in reader:
+            yield start, row
+            start = reader.line_num + 1
     except csv.Error as exc:
         raise ParseError(f"line {reader.line_num}: {exc}") from None
 
@@ -92,9 +106,10 @@ def _parse_scores(text: str, has_header: bool) -> dict[Score, list[str]]:
     """Parse ``id,score`` CSV rows, grouping the ids by exact score."""
     groups: dict[Score, list[str]] = {}
     seen: set[str] = set()
-    for line_no, row in enumerate(_csv_rows(text), start=1):
-        if has_header and line_no == 1:
-            continue
+    rows = _csv_rows(text)
+    if has_header:
+        next(rows, None)
+    for line_no, row in rows:
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if len(row) != 2:
@@ -164,12 +179,19 @@ def _order_from_scores(groups: dict[Score, list[str]], epsilon: Score) -> WeakOr
     return from_tiers(tiers)
 
 
+def _json_int(digits: str) -> int:
+    """A JSON integer, refused before ``int`` when Python could not print it."""
+    limit = _digit_limit()
+    if len(digits.lstrip("-")) > limit:
+        raise ParseError(f"an integer has more digits than Python prints ({limit})")
+    return int(digits)
+
+
 def _parse_tiers_json(text: str) -> WeakOrder:
     try:
-        payload = json.loads(text)
+        payload = json.loads(text, parse_int=_json_int)
     except (ValueError, RecursionError) as exc:
-        # Malformed JSON, an integer longer than Python reads, or nesting
-        # deeper than the recursion limit.
+        # Malformed JSON, or nesting deeper than the recursion limit.
         raise ParseError(f"invalid JSON: {exc}") from None
     try:
         order = weak_order_from_json(payload)
@@ -271,7 +293,10 @@ def _cmd_rank(args: argparse.Namespace, stdout: TextIO) -> int:
         if args.file in (None, "-"):
             text = sys.stdin.read()
         else:
-            with open(args.file, "r", encoding="utf-8", errors="surrogateescape") as handle:
+            # As stdin, untranslated: the csv module reads the line breaks.
+            with open(
+                args.file, "r", encoding="utf-8", errors="surrogateescape", newline=""
+            ) as handle:
                 text = handle.read()
         # Bytes that are not UTF-8 reach here as lone surrogates, which do not
         # encode, unless stdin's strict decoding already refused them.
@@ -279,8 +304,10 @@ def _cmd_rank(args: argparse.Namespace, stdout: TextIO) -> int:
     except OSError as exc:
         raise InputError(str(exc)) from None
     except (UnicodeDecodeError, UnicodeEncodeError) as exc:
-        newline = "\n" if isinstance(exc.object, str) else b"\n"
-        line = exc.object.count(newline, 0, exc.start) + 1
+        before = exc.object[: exc.start]
+        if isinstance(before, bytes):
+            before = before.decode("latin-1")
+        line = len(_LINE_BREAK.findall(before)) + 1
         raise InputError(f"line {line}: input is not valid UTF-8") from None
     stdout.write(
         rank_payload(
@@ -398,8 +425,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         sys.stdout.flush()
         return code
     except InputError as exc:
-        # One line, even where the message quotes an argument as it was given.
-        print(f"error: {' '.join(str(exc).splitlines())}", file=sys.stderr)
+        # One short line, even where the message quotes an argument or an
+        # input as it was given.
+        message = " ".join(str(exc).splitlines())
+        if len(message) > _ERROR_CHARS:
+            message = message[:_ERROR_CHARS] + "..."
+        print(f"error: {message}", file=sys.stderr)
         return 2
     except BrokenPipeError:
         # Nobody reads the rest.  Point stdout at the null device, so that

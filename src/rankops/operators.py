@@ -98,13 +98,6 @@ class PositionAssignment(Mapping):
     def __len__(self) -> int:
         return len(self._positions)
 
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, PositionAssignment):
-            return self._positions == other._positions
-        if isinstance(other, Mapping):
-            return self._positions == dict(other)
-        return NotImplemented
-
     def __repr__(self) -> str:
         parts = ", ".join(
             f"{alt!r}: {value}" for alt, value in sorted(self._positions.items(), key=lambda kv: label_key(kv[0]))
@@ -265,6 +258,9 @@ def _intrinsic_label_value(label: AltId) -> Fraction:
         return Fraction(label)
     match = _TRAILING_DIGITS.search(label)
     if match:
+        limit = _digit_limit()
+        if len(match.group(1)) > limit:
+            raise ValueError(f"label ends in more digits than Python prints ({limit})")
         return Fraction(int(match.group(1)))
     value = Fraction(0)
     scale = 1
@@ -349,7 +345,7 @@ def to_fraction(value: Rational | Decimal) -> Fraction:
     """
     if isinstance(value, str):
         value = parse_exact(value)
-    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    limit = _digit_limit()
     # A non-zero decimal's leading digit lies |adjusted| places from the
     # point, so beyond the limit its numerator or denominator is too long.
     if isinstance(value, Decimal) and value and abs(value.adjusted()) > limit:
@@ -359,6 +355,12 @@ def to_fraction(value: Rational | Decimal) -> Fraction:
     if abs(fraction.numerator) >= bound or fraction.denominator >= bound:
         raise ValueError(f"more digits than Python prints ({limit})")
     return fraction
+
+
+def _digit_limit() -> int:
+    """Python's limit on the digits of an integer string, or its default when
+    that limit is off: the longest numerator or denominator accepted."""
+    return sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
 
 
 @functools.cache

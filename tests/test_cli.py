@@ -295,3 +295,49 @@ def test_subprocess_rank_rejects_non_utf8_from_file_and_stdin(tmp_path, stdin_en
         assert result.returncode == 2
         assert result.stdout == b""
         assert result.stderr == b"error: line 2: input is not valid UTF-8\n"
+
+
+# ----- line breaks, line numbers --------------------------------------------
+
+
+def rank_dense_from_file_and_stdin(tmp_path: Path, data: bytes) -> list[subprocess.CompletedProcess]:
+    """``rank --method dense`` on ``data`` as a file, then on stdin, in bytes."""
+    path = tmp_path / "scores.csv"
+    path.write_bytes(data)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    return [
+        subprocess.run(
+            [sys.executable, "-m", "rankops", "rank", "--method", "dense", *extra],
+            input=stdin,
+            capture_output=True,
+            env=env,
+            cwd=REPO,
+        )
+        for extra, stdin in (([str(path)], b""), ([], data))
+    ]
+
+
+@pytest.mark.parametrize(
+    "data",
+    [b"a,1\rb,2\n", b"a,1\r\nb,2\r\n", b'"x\r\ny",1\nz,2\n'],
+    ids=["bare-cr", "crlf", "quoted-crlf"],
+)
+def test_subprocess_rank_reads_line_breaks_alike_from_file_and_stdin(tmp_path, data):
+    from_file, from_stdin = (
+        (r.returncode, r.stdout) for r in rank_dense_from_file_and_stdin(tmp_path, data)
+    )
+    assert from_file == from_stdin
+    assert from_file[0] == 0
+
+
+def test_rank_error_names_the_line_a_row_starts_on():
+    with pytest.raises(ParseError, match="^line 3, column 2: "):
+        rank_payload('a,"1\n"\nb,zz\n', method="dense")
+    with pytest.raises(ParseError, match="^line 4, column 2: "):
+        rank_payload('h,s\ra,"1\n"\r\nb,zz\n', method="dense", has_header=True)
+
+
+def test_subprocess_non_utf8_line_counts_every_line_break(tmp_path):
+    for result in rank_dense_from_file_and_stdin(tmp_path, b"a,1\rb,2\r\n\xff,3\n"):
+        assert (result.returncode, result.stderr) == (2, b"error: line 3: input is not valid UTF-8\n")

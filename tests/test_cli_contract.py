@@ -288,3 +288,49 @@ def test_cli_contract(argv, data, via_file):
     if code == 2:
         assert stderr.startswith("error: ")
     assert wall < WALL_LIMIT_S
+
+
+# ----- error lines stay short and give no advice the user cannot take ------------
+
+
+@pytest.mark.parametrize(
+    "args, text",
+    [
+        (["--input-format", "json-tiers"], LONG_LABEL_JSON),
+        (["--input-format", "json-tiers"], '{"tiers": [[-' + "1" * 5000 + "]]}"),
+        (["--method", "list-index"], LONG_ID_CSV),
+    ],
+    ids=["5000-digit-label", "negative-5000-digit-label", "list-index-5000-digit-id"],
+)
+def test_digit_limit_errors_name_the_limit(args, text, tmp_path, capsys):
+    path = tmp_path / "input"
+    path.write_text(text, encoding="utf-8")
+    assert main(["rank", "--method", "dense", *args, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert _one_error_line(captured.err)
+    assert "set_int_max_str_digits" not in captured.err
+    assert f"({sys.get_int_max_str_digits()})" in captured.err
+
+
+NESTED_900_JSON = '{"tiers":[[' + "[" * 900 + "]" * 900 + "]]}"
+
+
+@pytest.mark.parametrize(
+    "args, text",
+    [
+        ([], "a," + "1" * 100_000 + "\n"),
+        (["--method", "x" * 100_000], "a,1\n"),
+        (["--tie-epsilon", "1" * 99_999 + "x"], "a,1\n"),
+        (["--input-format", "json-tiers"], NESTED_900_JSON),
+    ],
+    ids=["long-score", "long-method", "long-epsilon", "json-nested-900"],
+)
+def test_error_line_is_bounded(args, text, tmp_path, capsys):
+    path = tmp_path / "input"
+    path.write_text(text, encoding="utf-8")
+    argv = ["rank", "--method", "dense", *args, str(path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert _one_error_line(captured.err)
+    assert len(captured.err) <= 211
+    assert captured.err.endswith("...\n")
