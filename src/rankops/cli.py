@@ -7,8 +7,10 @@ Three subcommands:
 * ``enumerate``  stream all weak orders on n alternatives, or just count
 
 Exit codes: 0 success (verify: everything as expected), 1 verification
-mismatch, 2 malformed input or out-of-range arguments, 141 stdout closed
-by its reader before the output was written.
+mismatch, 2 malformed input, out-of-range arguments, or input or output
+that cannot be read or written (a closed stdin or stdout included), 141
+stdout closed by its reader before the output was written.  ``rank`` drops
+a leading byte-order mark from its input.
 """
 
 from __future__ import annotations
@@ -81,6 +83,9 @@ _LINE_BREAK = re.compile(r"\r\n?|\n")
 # An error line quotes at most this many characters of its message.
 _ERROR_CHARS = 200
 
+# A run of digits, as int() counts them: the underscores between them do not.
+_DIGIT_RUN = re.compile(r"[0-9_]+")
+
 # Exit code when the reader of stdout leaves early, as ``| head`` does: the
 # status a process killed by SIGPIPE reports, 128 + 13.
 EXIT_PIPE_CLOSED = 141
@@ -100,6 +105,18 @@ def _csv_rows(text: str) -> Iterator[tuple[int, list[str]]]:
             start = reader.line_num + 1
     except csv.Error as exc:
         raise ParseError(f"line {reader.line_num}: {exc}") from None
+
+
+def _refusal(text: str, name: str, otherwise: str) -> str:
+    """Why :func:`parse_exact` refused ``text``, which the message calls ``name``.
+
+    A run of more digits than Python reads into an integer is named as the
+    reason; any other refusal is the message ``otherwise``.
+    """
+    limit = _digit_limit()
+    if any(len(run.replace("_", "")) > limit for run in _DIGIT_RUN.findall(text)):
+        return f"{name} has more digits than Python prints ({limit}): {text!r}"
+    return otherwise
 
 
 def _parse_scores(text: str, has_header: bool) -> dict[Score, list[str]]:
@@ -123,8 +140,9 @@ def _parse_scores(text: str, has_header: bool) -> dict[Score, list[str]]:
         try:
             score = parse_exact(raw_score)
         except (ValueError, ZeroDivisionError):
+            where = f"line {line_no}, column 2"
             raise ParseError(
-                f"line {line_no}, column 2: not an exact decimal: {raw_score!r}"
+                _refusal(raw_score, f"{where}: score", f"{where}: not an exact decimal: {raw_score!r}")
             ) from None
         groups.setdefault(score, []).append(ident)
     if not groups:
@@ -278,7 +296,9 @@ def rank_payload(
         if epsilon < 0:
             raise InputError(f"tie epsilon must be non-negative, got {to_fraction(epsilon)}")
     except (ValueError, ZeroDivisionError):
-        raise InputError(f"tie epsilon is not an exact decimal: {tie_epsilon!r}") from None
+        raise InputError(
+            _refusal(str(tie_epsilon), "tie epsilon", f"tie epsilon is not an exact decimal: {tie_epsilon!r}")
+        ) from None
     if input_format == "csv-scores":
         order = _order_from_scores(_parse_scores(text, has_header), epsilon)
     elif input_format == "json-tiers":
@@ -288,10 +308,18 @@ def rank_payload(
     return _format_rows(order, method, output_format)
 
 
-def _cmd_rank(args: argparse.Namespace, stdout: TextIO) -> int:
+def _stream(stream: TextIO | None, name: str) -> TextIO:
+    """A standard stream the command needs; Python sets it to None when closed."""
+    if stream is None:
+        raise InputError(f"standard {name} is closed")
+    return stream
+
+
+def _cmd_rank(args: argparse.Namespace, stdout: TextIO | None) -> int:
+    stdout = _stream(stdout, "output")
     try:
         if args.file in (None, "-"):
-            text = sys.stdin.read()
+            text = _stream(sys.stdin, "input").read()
         else:
             # As stdin, untranslated: the csv module reads the line breaks.
             with open(
@@ -301,8 +329,6 @@ def _cmd_rank(args: argparse.Namespace, stdout: TextIO) -> int:
         # Bytes that are not UTF-8 reach here as lone surrogates, which do not
         # encode, unless stdin's strict decoding already refused them.
         text.encode("utf-8")
-    except OSError as exc:
-        raise InputError(str(exc)) from None
     except (UnicodeDecodeError, UnicodeEncodeError) as exc:
         before = exc.object[: exc.start]
         if isinstance(before, bytes):
@@ -311,7 +337,8 @@ def _cmd_rank(args: argparse.Namespace, stdout: TextIO) -> int:
         raise InputError(f"line {line}: input is not valid UTF-8") from None
     stdout.write(
         rank_payload(
-            text,
+            # A byte-order mark tells the encoding; it is not part of the first id.
+            text.removeprefix("\ufeff"),
             method=args.method,
             input_format=args.input_format,
             output_format=args.output_format,
@@ -322,19 +349,16 @@ def _cmd_rank(args: argparse.Namespace, stdout: TextIO) -> int:
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace, stdout: TextIO) -> int:
+def _cmd_verify(args: argparse.Namespace, stdout: TextIO | None) -> int:
     # Below three alternatives some expected failures have no counterexample yet.
     if not 3 <= args.max_n <= 6:
         raise InputError(f"--max-n must be between 3 and 6, got {args.max_n}")
     # Open the report first, so a bad path fails before the engine runs.
-    try:
-        report = (
-            open(args.report, "w", encoding="utf-8", newline="\n")
-            if args.report
-            else contextlib.nullcontext(stdout)
-        )
-    except OSError as exc:
-        raise InputError(str(exc)) from None
+    report = (
+        open(args.report, "w", encoding="utf-8", newline="\n")
+        if args.report
+        else contextlib.nullcontext(_stream(stdout, "output"))
+    )
     with report as handle:
         document, ok = build_verification_document(args.max_n)
         handle.write(json.dumps(document, indent=2) + "\n")
@@ -345,11 +369,12 @@ def _cmd_verify(args: argparse.Namespace, stdout: TextIO) -> int:
     return 0 if ok else 1
 
 
-def _cmd_enumerate(args: argparse.Namespace, stdout: TextIO) -> int:
+def _cmd_enumerate(args: argparse.Namespace, stdout: TextIO | None) -> int:
     limit = 8 if args.count_only else 5
     if not 1 <= args.n <= limit:
         kind = "counting" if args.count_only else "listing"
         raise InputError(f"n must be between 1 and {limit} for {kind}, got {args.n}")
+    stdout = _stream(stdout, "output")
     if args.count_only:
         stdout.write(f"{ordered_bell(args.n)}\n")
         return 0
@@ -410,6 +435,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _drop_stdout() -> None:
+    """Point stdout at the null device, so that the interpreter's own flush
+    at exit cannot fail again."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
@@ -421,10 +454,23 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         code = args.handler(args, sys.stdout)
-        # Flushed here, so that a reader gone early is met inside this try.
-        sys.stdout.flush()
+        # Flushed here, so that a failed stdout or a reader gone early is met
+        # inside this try.
+        if sys.stdout is not None:
+            sys.stdout.flush()
         return code
-    except InputError as exc:
+    except BrokenPipeError:
+        # Nobody reads the rest.
+        _drop_stdout()
+        return EXIT_PIPE_CLOSED
+    except (InputError, OSError) as exc:
+        if isinstance(exc, OSError) and sys.stdout is not None:
+            # A file or a stream that cannot be read or written.  If it is
+            # stdout, what it still holds can never be written.
+            try:
+                sys.stdout.flush()
+            except OSError:
+                _drop_stdout()
         # One short line, even where the message quotes an argument or an
         # input as it was given.
         message = " ".join(str(exc).splitlines())
@@ -432,10 +478,3 @@ def main(argv: Sequence[str] | None = None) -> int:
             message = message[:_ERROR_CHARS] + "..."
         print(f"error: {message}", file=sys.stderr)
         return 2
-    except BrokenPipeError:
-        # Nobody reads the rest.  Point stdout at the null device, so that
-        # the interpreter's own flush at exit cannot fail again.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        return EXIT_PIPE_CLOSED

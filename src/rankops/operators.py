@@ -25,7 +25,6 @@ can iterate over the full set uniformly.
 
 from __future__ import annotations
 
-import functools
 import re
 import sys
 from collections.abc import Mapping
@@ -214,22 +213,13 @@ def quotient(order: WeakOrder) -> PositionAssignment:
     return _by_tier(order, lambda depth, above, size: Fraction(depth, size))
 
 
-def _coefficients(a: Rational, b: Rational) -> tuple[Fraction, Fraction]:
-    """The affine coefficients as exact fractions, rejecting negative ones."""
-    a, b = to_fraction(a), to_fraction(b)
-    if a < 0 or b < 0:
-        raise NegativeCoefficient(f"coefficients must be non-negative, got a={a}, b={b}")
-    return a, b
-
-
 def affine(order: WeakOrder, a: Rational, b: Rational) -> PositionAssignment:
     """An affine rescaling a*dense + b with non-negative coefficients.
 
     Stable under cloning for any coefficients, but agrees with the 1..n
     sequence on linear orders only when a = 1 and b = 0.
     """
-    a, b = _coefficients(a, b)
-    return _by_tier(order, lambda depth, above, size: a * depth + b)
+    return make_affine_operator(a, b)(order)
 
 
 def plus_n(order: WeakOrder) -> PositionAssignment:
@@ -351,7 +341,7 @@ def to_fraction(value: Rational | Decimal) -> Fraction:
     if isinstance(value, Decimal) and value and abs(value.adjusted()) > limit:
         raise ValueError(f"more digits than Python prints ({limit})")
     fraction = Fraction(value)
-    bound = _power_of_ten(limit)
+    bound = 10**limit
     if abs(fraction.numerator) >= bound or fraction.denominator >= bound:
         raise ValueError(f"more digits than Python prints ({limit})")
     return fraction
@@ -363,11 +353,6 @@ def _digit_limit() -> int:
     return sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
 
 
-@functools.cache
-def _power_of_ten(digits: int) -> int:
-    return 10**digits
-
-
 # ----- registry -------------------------------------------------------------
 
 
@@ -377,15 +362,17 @@ def make_affine_operator(
     """Build the affine operator for given coefficients.
 
     The default name serialises the coefficients as exact fractions, e.g.
-    ``affine:a=2/1,b=1/1``.
+    ``affine:a=2/1,b=1/1``.  The coefficients are checked here, once.
     """
-    a, b = _coefficients(a, b)
+    a, b = to_fraction(a), to_fraction(b)
+    if a < 0 or b < 0:
+        raise NegativeCoefficient(f"coefficients must be non-negative, got a={a}, b={b}")
     if name is None:
         name = f"affine:a={a.numerator}/{a.denominator},b={b.numerator}/{b.denominator}"
     return PositionOperator(
         name=name,
         domain=Domain.ALL_WEAK_ORDERS,
-        fn=lambda order: affine(order, a, b),
+        fn=lambda order: _by_tier(order, lambda depth, above, size: a * depth + b),
     )
 
 

@@ -14,6 +14,7 @@ from rankops import (
     ImplicationViolated,
     MatrixMismatch,
     Verdict,
+    Witness,
     build_verification_document,
     check_duplication,
     check_equality,
@@ -237,6 +238,14 @@ def test_replay_rejects_doctored_witnesses(reports3):
         foreign = from_tiers([{"y1"}, {"y2"}])
         stray = dataclasses.replace(witness, transformed=foreign)
         assert not replay_witness(REGISTRY[name], axiom, stray), (name, axiom)
+
+
+def test_clone_label_skips_a_taken_reserved_label():
+    # The base already holds +c0, so duplication clones as +c1; standard
+    # then pushes x from 2 to 3.
+    base = from_tiers([{"+c0"}, {"x"}])
+    witness = Witness(base, base.duplicate("+c0", "+c1"), "x", None, F(2), F(3), "")
+    assert replay_witness(REGISTRY["standard"], Axiom.DUPLICATION, witness)
 
 
 def test_reports_are_deterministic(reports3):

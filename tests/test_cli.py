@@ -341,3 +341,78 @@ def test_rank_error_names_the_line_a_row_starts_on():
 def test_subprocess_non_utf8_line_counts_every_line_break(tmp_path):
     for result in rank_dense_from_file_and_stdin(tmp_path, b"a,1\rb,2\r\n\xff,3\n"):
         assert (result.returncode, result.stderr) == (2, b"error: line 3: input is not valid UTF-8\n")
+
+
+# ----- standard streams that fail or are missing -------------------------------
+
+NO_DEV_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+
+
+@pytest.mark.parametrize(
+    "args, redirect, code",
+    [
+        pytest.param(["rank", "--method", "dense", "scores.csv"], ">/dev/full", 2, marks=NO_DEV_FULL),
+        pytest.param(["enumerate", "3"], ">/dev/full", 2, marks=NO_DEV_FULL),
+        pytest.param(["verify", "--max-n", "3"], ">/dev/full", 2, marks=NO_DEV_FULL),
+        pytest.param(["verify", "--max-n", "3", "--report", "/dev/full"], "", 2, marks=NO_DEV_FULL),
+        (["verify", "--max-n", "3", "--report", "r.json"], ">&-", 0),
+        (["rank", "--method", "dense"], "<&-", 2),
+        (["rank", "--method", "dense", "scores.csv"], ">&-", 2),
+        (["enumerate", "3"], ">&-", 2),
+    ],
+    ids=[
+        "rank-full-stdout", "enumerate-full-stdout", "verify-full-stdout", "verify-full-report",
+        "verify-report-no-stdout", "rank-no-stdin", "rank-no-stdout", "enumerate-no-stdout",
+    ],
+)
+def test_subprocess_failed_or_missing_stream_is_one_line(tmp_path, args, redirect, code):
+    (tmp_path / "scores.csv").write_text(SCORES, encoding="utf-8")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    # The shell applies the redirection, then runs the CLI in its place.
+    result = subprocess.run(
+        ["sh", "-c", f'exec "$@" {redirect}', "sh", sys.executable, "-m", "rankops", *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=tmp_path,
+        timeout=60,
+    )
+    assert result.returncode == code, result.stderr
+    assert result.stderr.count("\n") <= 1 and "Traceback" not in result.stderr
+    if code == 2:
+        assert result.stderr.startswith("error: ")
+    else:
+        assert json.loads((tmp_path / "r.json").read_text(encoding="utf-8"))
+
+
+# ----- a byte-order mark before the input ----------------------------------------
+
+
+@pytest.mark.parametrize(
+    "args, data",
+    [
+        (["--method", "dense"], b"a,1\nb,2\n"),
+        (["--method", "dense", "--output-format", "json"], b"a,1\nb,2\n"),
+        (["--method", "dense", "--input-format", "json-tiers"], b'{"tiers": [["a"], ["b"]]}'),
+    ],
+    ids=["csv", "csv-to-json", "json-tiers"],
+)
+def test_subprocess_rank_drops_a_leading_byte_order_mark(tmp_path, args, data):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    outputs = []
+    for text in (data, b"\xef\xbb\xbf" + data):
+        path = tmp_path / "input"
+        path.write_bytes(text)
+        for extra, stdin in (([str(path)], b""), ([], text)):
+            result = subprocess.run(
+                [sys.executable, "-m", "rankops", "rank", *args, *extra],
+                input=stdin,
+                capture_output=True,
+                env=env,
+                cwd=REPO,
+            )
+            outputs.append((result.returncode, result.stdout, result.stderr))
+    assert outputs[0][0] == 0
+    assert outputs == [outputs[0]] * 4

@@ -312,6 +312,23 @@ def test_digit_limit_errors_name_the_limit(args, text, tmp_path, capsys):
     assert f"({sys.get_int_max_str_digits()})" in captured.err
 
 
+@pytest.mark.parametrize(
+    "args, text",
+    [([], "a," + "1" * 5000 + "\n"), (["--tie-epsilon", "1" * 5000], "a,1\n")],
+    ids=["5000-digit-score", "5000-digit-epsilon"],
+)
+def test_long_digit_runs_are_named_as_such(args, text, tmp_path, capsys):
+    # An exact decimal, refused only for Python's limit on integer strings.
+    path = tmp_path / "input"
+    path.write_text(text, encoding="utf-8")
+    assert main(["rank", "--method", "dense", *args, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert _one_error_line(captured.err)
+    assert f"({sys.get_int_max_str_digits()})" in captured.err
+    assert "not an exact decimal" not in captured.err
+    assert "set_int_max_str_digits" not in captured.err
+
+
 NESTED_900_JSON = '{"tiers":[[' + "[" * 900 + "]" * 900 + "]]}"
 
 

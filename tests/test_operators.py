@@ -339,6 +339,11 @@ def test_assignments_cover_exactly_the_ground_set():
             assert set(operator(order)) == set(order.ground)
 
 
+def test_assignment_repr_lists_alternatives_in_label_order():
+    # Integer labels sort before strings; positions print as fractions do.
+    assert repr(dense(from_tiers([{"b"}, {"a", 1}]))) == "PositionAssignment({1: 2, 'a': 2, 'b': 1})"
+
+
 # ----- randomized cross-checks ----------------------------------------------------
 
 
