@@ -8,15 +8,16 @@
 # truncation, ud-independency}. The paper proves that each bundle singles
 # out the dense rank among all position operators; that is not checked here.
 
-from rankops import Axiom, verify_implications, verify_matrix
+from rankops import build_verification_document
 
 MAX_N = 4
 
-cells = verify_matrix(MAX_N)
-axioms = [axiom.value for axiom in Axiom]
+# One engine run: the document holds both the matrix and the implications.
+document, ok = build_verification_document(MAX_N)
+axioms = document["axioms"]
 by_operator: dict[str, dict[str, str]] = {}
-for cell in cells:
-    by_operator.setdefault(cell.operator, {})[cell.axiom.value] = cell.observed.value
+for cell in document["matrix"]:
+    by_operator.setdefault(cell["operator"], {})[cell["axiom"]] = cell["observed"]
 
 short = {"pass": "yes", "fail": "NO", "not-applicable": "n/a"}
 width = max(len(name) for name in by_operator)
@@ -27,11 +28,11 @@ for name, verdicts in by_operator.items():
     print(f"{name:<{width}} {row}")
 
 print()
-results = verify_implications(MAX_N)
-consistent = sum(1 for r in results if r.status == "consistent")
-vacuous = sum(1 for r in results if r.status == "vacuous")
+statuses = [row["status"] for row in document["implications"]]
 print(
     f"implication instances at n <= {MAX_N}: "
-    f"{consistent} consistent, {vacuous} vacuous, 0 violated"
+    f"{statuses.count('consistent')} consistent, {statuses.count('vacuous')} vacuous, "
+    f"{statuses.count('violated')} violated"
 )
-print("matrix fully reproduced: yes")
+print(f"matrix fully reproduced: {'yes' if document['matrixMatchesExpected'] else 'NO'}")
+raise SystemExit(0 if ok else 1)

@@ -27,10 +27,11 @@ operators exist to show that dropping any one property in those bundles
 re-admits other operators.  Only the registry is checked: the paper's
 two characterizations cover every position operator, which no check
 here does.  ``EXPECTED_MATRIX`` records the anticipated verdict for every
-operator/property cell, and ``verify_matrix`` confirms the engine
-reproduces it.  ``verify_implications`` checks, per operator,
-the known entailments between the properties (for example, an operator
-stable under duplication is automatically neutral).
+operator/property cell.  ``build_verification_document`` runs every cell
+once and returns one JSON-ready document: each cell's expected and
+observed verdict, and, per operator, the status of each known entailment
+between the properties (for example, an operator stable under
+duplication is automatically neutral).
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping
 
 from .orders import (
     AltId,
@@ -64,12 +65,8 @@ __all__ = [
     "AxiomReport",
     "ExpectedCell",
     "EXPECTED_MATRIX",
-    "CellResult",
-    "MatrixMismatch",
     "Implication",
     "IMPLICATIONS",
-    "ImplicationResult",
-    "ImplicationViolated",
     "engine_ground",
     "check_equality",
     "check_neutrality",
@@ -80,8 +77,6 @@ __all__ = [
     "check_monotonicity",
     "run_axiom_reports",
     "replay_witness",
-    "verify_matrix",
-    "verify_implications",
     "build_verification_document",
 ]
 
@@ -591,45 +586,7 @@ def _expected_matrix() -> dict[tuple[str, Axiom], ExpectedCell]:
 EXPECTED_MATRIX: dict[tuple[str, Axiom], ExpectedCell] = _expected_matrix()
 
 
-# ----- matrix and implication verification ----------------------------------
-
-
-@dataclass(frozen=True)
-class CellResult:
-    operator: str
-    axiom: Axiom
-    expected: Verdict
-    observed: Verdict
-    source: str
-    note: str
-    cases_checked: int
-    witness: Witness | None
-
-    @property
-    def matches(self) -> bool:
-        return self.expected is self.observed
-
-    def to_json_dict(self) -> dict:
-        return {
-            "operator": self.operator,
-            "axiom": self.axiom.value,
-            "expected": self.expected.value,
-            "observed": self.observed.value,
-            "source": self.source,
-            "note": self.note,
-            "casesChecked": self.cases_checked,
-            "witness": None if self.witness is None else self.witness.to_json_dict(),
-        }
-
-
-class MatrixMismatch(Exception):
-    """Observed verdicts deviate from the expected matrix."""
-
-    def __init__(self, results: Sequence[CellResult], mismatches: Sequence[CellResult]):
-        self.results = list(results)
-        self.mismatches = list(mismatches)
-        cells = ", ".join(f"{c.operator}/{c.axiom.value}" for c in mismatches)
-        super().__init__(f"{len(mismatches)} cell(s) deviate from the expected matrix: {cells}")
+# ----- the verification document -------------------------------------------
 
 
 def run_axiom_reports(max_n: int) -> dict[tuple[str, Axiom], AxiomReport]:
@@ -639,38 +596,6 @@ def run_axiom_reports(max_n: int) -> dict[tuple[str, Axiom], AxiomReport]:
         for name, operator in REGISTRY.items()
         for axiom in Axiom
     }
-
-
-def _cells(reports: Mapping[tuple[str, Axiom], AxiomReport]) -> list[CellResult]:
-    results = []
-    for (name, axiom), report in reports.items():
-        expected = EXPECTED_MATRIX[(name, axiom)]
-        results.append(
-            CellResult(
-                operator=name,
-                axiom=axiom,
-                expected=expected.verdict,
-                observed=report.verdict,
-                source=expected.source,
-                note=expected.note,
-                cases_checked=report.cases_checked,
-                witness=report.witness,
-            )
-        )
-    return results
-
-
-def verify_matrix(max_n: int) -> list[CellResult]:
-    """Check every registered operator against the expected verdict matrix.
-
-    Returns one result per cell, in registry-by-axiom order.  A deviation
-    raises :class:`MatrixMismatch`, which still carries all results.
-    """
-    results = _cells(run_axiom_reports(max_n))
-    mismatches = [cell for cell in results if not cell.matches]
-    if mismatches:
-        raise MatrixMismatch(results, mismatches)
-    return results
 
 
 @dataclass(frozen=True)
@@ -696,72 +621,17 @@ IMPLICATIONS: tuple[Implication, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class ImplicationResult:
-    implication: str
-    operator: str
-    status: str  # "consistent" | "vacuous" | "violated"
+def _implication_status(implication: Implication, verdicts: Mapping[Axiom, Verdict]) -> str:
+    """``vacuous`` when some antecedent does not pass; otherwise
+    ``consistent`` or ``violated`` as the consequent passes or not.
 
-    def to_json_dict(self) -> dict:
-        return {
-            "implication": self.implication,
-            "operator": self.operator,
-            "status": self.status,
-        }
-
-
-class ImplicationViolated(Exception):
-    """An operator passed an implication's antecedents but failed its consequent.
-
-    These implications hold for every position operator, so a violation
-    always indicates a bug in a checker or an operator, never a property
-    of the mathematics.
+    These implications hold for every position operator, so ``violated``
+    always indicates a bug in a checker or an operator, never a property of
+    the mathematics.
     """
-
-    def __init__(self, violations: Sequence[ImplicationResult]):
-        self.violations = list(violations)
-        text = ", ".join(f"{v.operator}: {v.implication}" for v in violations)
-        super().__init__(f"implication instance(s) violated: {text}")
-
-
-def _implication_results(
-    reports: Mapping[tuple[str, Axiom], AxiomReport]
-) -> list[ImplicationResult]:
-    names = tuple(REGISTRY)
-    results = []
-    for implication in IMPLICATIONS:
-        for name in names:
-            antecedents_pass = all(
-                reports[(name, axiom)].verdict is Verdict.PASS
-                for axiom in implication.antecedents
-            )
-            if not antecedents_pass:
-                status = "vacuous"
-            elif reports[(name, implication.consequent)].verdict is Verdict.PASS:
-                status = "consistent"
-            else:
-                status = "violated"
-            results.append(ImplicationResult(implication.name, name, status))
-    return results
-
-
-def verify_implications(
-    max_n: int,
-    reports: Mapping[tuple[str, Axiom], AxiomReport] | None = None,
-) -> list[ImplicationResult]:
-    """Instance-check the known property implications over the registry.
-
-    ``reports`` can reuse the output of :func:`run_axiom_reports` to avoid
-    re-running the checkers.  Any violation raises
-    :class:`ImplicationViolated`.
-    """
-    if reports is None:
-        reports = run_axiom_reports(max_n)
-    results = _implication_results(reports)
-    violations = [r for r in results if r.status == "violated"]
-    if violations:
-        raise ImplicationViolated(violations)
-    return results
+    if any(verdicts[axiom] is not Verdict.PASS for axiom in implication.antecedents):
+        return "vacuous"
+    return "consistent" if verdicts[implication.consequent] is Verdict.PASS else "violated"
 
 
 def build_verification_document(max_n: int) -> tuple[dict, bool]:
@@ -773,16 +643,41 @@ def build_verification_document(max_n: int) -> tuple[dict, bool]:
     repeated runs serialise byte-identically.
     """
     reports = run_axiom_reports(max_n)
-    cells = _cells(reports)
-    implications = _implication_results(reports)
-    matrix_ok = all(cell.matches for cell in cells)
-    implications_ok = all(r.status != "violated" for r in implications)
+    matrix = []
+    for (name, axiom), report in reports.items():
+        expected = EXPECTED_MATRIX[(name, axiom)]
+        matrix.append(
+            {
+                "operator": name,
+                "axiom": axiom.value,
+                "expected": expected.verdict.value,
+                "observed": report.verdict.value,
+                "source": expected.source,
+                "note": expected.note,
+                "casesChecked": report.cases_checked,
+                "witness": None if report.witness is None else report.witness.to_json_dict(),
+            }
+        )
+    verdicts = {
+        name: {axiom: reports[(name, axiom)].verdict for axiom in Axiom} for name in REGISTRY
+    }
+    implications = [
+        {
+            "implication": implication.name,
+            "operator": name,
+            "status": _implication_status(implication, verdicts[name]),
+        }
+        for implication in IMPLICATIONS
+        for name in REGISTRY
+    ]
+    matrix_ok = all(row["expected"] == row["observed"] for row in matrix)
+    implications_ok = all(row["status"] != "violated" for row in implications)
     document = {
         "maxN": max_n,
         "operators": list(REGISTRY),
         "axioms": [axiom.value for axiom in Axiom],
-        "matrix": [cell.to_json_dict() for cell in cells],
-        "implications": [r.to_json_dict() for r in implications],
+        "matrix": matrix,
+        "implications": implications,
         "matrixMatchesExpected": matrix_ok,
         "implicationsConsistent": implications_ok,
         "allExpected": matrix_ok and implications_ok,

@@ -9,8 +9,9 @@ Three subcommands:
 Exit codes: 0 success (verify: everything as expected), 1 verification
 mismatch, 2 malformed input, out-of-range arguments, or input or output
 that cannot be read or written (a closed stdin or stdout included), 141
-stdout closed by its reader before the output was written.  ``rank`` drops
-a leading byte-order mark from its input.
+stdout closed by its reader before the output was written.  A closed or
+failed stderr changes no exit code.  ``rank`` reads and writes UTF-8
+whatever the locale, and drops a leading byte-order mark from its input.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ class EmptyInput(InputError):
 Score = Union[Decimal, Fraction]
 
 # The line breaks the csv module reads: \r\n, \n or a lone \r.
-_LINE_BREAK = re.compile(r"\r\n?|\n")
+_LINE_BREAK = re.compile(rb"\r\n?|\n")
 
 # An error line quotes at most this many characters of its message.
 _ERROR_CHARS = 200
@@ -293,12 +294,16 @@ def rank_payload(
         raise InputError(f"unknown output format {output_format!r}")
     try:
         epsilon = parse_exact(str(tie_epsilon))
-        if epsilon < 0:
-            raise InputError(f"tie epsilon must be non-negative, got {to_fraction(epsilon)}")
     except (ValueError, ZeroDivisionError):
         raise InputError(
             _refusal(str(tie_epsilon), "tie epsilon", f"tie epsilon is not an exact decimal: {tie_epsilon!r}")
         ) from None
+    if epsilon < 0:
+        try:
+            shown = str(to_fraction(epsilon))
+        except ValueError:  # a fraction longer than Python prints
+            shown = repr(tie_epsilon)
+        raise InputError(f"tie epsilon must be non-negative, got {shown}")
     if input_format == "csv-scores":
         order = _order_from_scores(_parse_scores(text, has_header), epsilon)
     elif input_format == "json-tiers":
@@ -317,23 +322,17 @@ def _stream(stream: TextIO | None, name: str) -> TextIO:
 
 def _cmd_rank(args: argparse.Namespace, stdout: TextIO | None) -> int:
     stdout = _stream(stdout, "output")
+    # Bytes from either source, untranslated (the csv module reads the line
+    # breaks), decoded once whatever the locale.
+    if args.file in (None, "-"):
+        data = _stream(sys.stdin, "input").buffer.read()
+    else:
+        with open(args.file, "rb") as handle:
+            data = handle.read()
     try:
-        if args.file in (None, "-"):
-            text = _stream(sys.stdin, "input").read()
-        else:
-            # As stdin, untranslated: the csv module reads the line breaks.
-            with open(
-                args.file, "r", encoding="utf-8", errors="surrogateescape", newline=""
-            ) as handle:
-                text = handle.read()
-        # Bytes that are not UTF-8 reach here as lone surrogates, which do not
-        # encode, unless stdin's strict decoding already refused them.
-        text.encode("utf-8")
-    except (UnicodeDecodeError, UnicodeEncodeError) as exc:
-        before = exc.object[: exc.start]
-        if isinstance(before, bytes):
-            before = before.decode("latin-1")
-        line = len(_LINE_BREAK.findall(before)) + 1
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len(_LINE_BREAK.findall(data[: exc.start])) + 1
         raise InputError(f"line {line}: input is not valid UTF-8") from None
     stdout.write(
         rank_payload(
@@ -349,6 +348,17 @@ def _cmd_rank(args: argparse.Namespace, stdout: TextIO | None) -> int:
     return 0
 
 
+def _say(line: str) -> None:
+    """Write one line to stderr.  A closed or failed stderr loses the line,
+    never the exit code, which tells the outcome on its own."""
+    if sys.stderr is None:  # print would write to stdout instead
+        return
+    try:
+        print(line, file=sys.stderr)
+    except OSError:
+        pass
+
+
 def _cmd_verify(args: argparse.Namespace, stdout: TextIO | None) -> int:
     # Below three alternatives some expected failures have no counterexample yet.
     if not 3 <= args.max_n <= 6:
@@ -362,10 +372,7 @@ def _cmd_verify(args: argparse.Namespace, stdout: TextIO | None) -> int:
     with report as handle:
         document, ok = build_verification_document(args.max_n)
         handle.write(json.dumps(document, indent=2) + "\n")
-    print(
-        f"verification at max n = {args.max_n}: {'all as expected' if ok else 'MISMATCH'}",
-        file=sys.stderr,
-    )
+    _say(f"verification at max n = {args.max_n}: {'all as expected' if ok else 'MISMATCH'}")
     return 0 if ok else 1
 
 
@@ -453,6 +460,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             argv[i - 1 : i + 1] = [f"--tie-epsilon={argv[i]}"]
     try:
         args = parser.parse_args(argv)
+        if isinstance(sys.stdout, io.TextIOWrapper):
+            # A process stdout: its bytes do not depend on the locale.
+            sys.stdout.reconfigure(encoding="utf-8")
         code = args.handler(args, sys.stdout)
         # Flushed here, so that a failed stdout or a reader gone early is met
         # inside this try.
@@ -476,5 +486,5 @@ def main(argv: Sequence[str] | None = None) -> int:
         message = " ".join(str(exc).splitlines())
         if len(message) > _ERROR_CHARS:
             message = message[:_ERROR_CHARS] + "..."
-        print(f"error: {message}", file=sys.stderr)
+        _say(f"error: {message}")
         return 2

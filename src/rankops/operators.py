@@ -242,22 +242,28 @@ def _intrinsic_label_value(label: AltId) -> Fraction:
     Integer labels map to themselves and labels with a digit suffix map to
     that number, so a ground set x1, x2, x3 yields 1, 2, 3.  Any other
     string maps to a deterministic fraction in (0, 1) that preserves the
-    lexicographic order of the labels.
+    lexicographic order of the labels: the sum of (byte + 1) / 257**k over
+    its UTF-8 bytes.  A label whose denominator 257**k would have more
+    digits than Python prints raises ``ValueError``.
     """
     if isinstance(label, int):
         return Fraction(label)
+    limit = _digit_limit()
     match = _TRAILING_DIGITS.search(label)
     if match:
-        limit = _digit_limit()
         if len(match.group(1)) > limit:
             raise ValueError(f"label ends in more digits than Python prints ({limit})")
         return Fraction(int(match.group(1)))
-    value = Fraction(0)
-    scale = 1
-    for byte in label.encode("utf-8"):
-        scale *= 257
-        value += Fraction(byte + 1, scale)
-    return value
+    data = label.encode("utf-8")
+    # 10**(2k) < 257**k < 10**(3k), so only a length between the two bounds
+    # needs the exact comparison.
+    k = len(data)
+    if 2 * k >= limit or (3 * k > limit and 257**k >= 10**limit):
+        raise ValueError(f"label is too long for a position Python prints ({limit} digits)")
+    numerator = 0
+    for byte in data:
+        numerator = numerator * 257 + byte + 1
+    return Fraction(numerator, 257**k)
 
 
 def list_index(order: WeakOrder) -> PositionAssignment:

@@ -21,6 +21,7 @@ import pytest
 from rankops import (
     REGISTRY,
     Verdict,
+    build_verification_document,
     check_duplication,
     check_sequentiality,
     check_truncation,
@@ -33,7 +34,6 @@ from rankops import (
     modified,
     replay_witness,
     standard,
-    verify_implications,
 )
 from rankops.axioms import Axiom, engine_ground
 
@@ -168,9 +168,10 @@ def test_criterion_04_sequentiality_truncation_ud_single_out_dense(dense_at_five
 
 
 def test_criterion_05_implication_instances_hold():
-    results = verify_implications(4)
-    violations = [r for r in results if r.status == "violated"]
-    operators = {r.operator for r in results}
+    document, _ = build_verification_document(4)
+    results = document["implications"]
+    violations = [r for r in results if r["status"] == "violated"]
+    operators = {r["operator"] for r in results}
     ok = not violations and len(operators) == 11
     _report("criterion 5: zero implication violations across all 11 operators at n<=4", ok)
     assert not violations

@@ -11,8 +11,6 @@ from rankops import (
     IMPLICATIONS,
     REGISTRY,
     Axiom,
-    ImplicationViolated,
-    MatrixMismatch,
     Verdict,
     Witness,
     build_verification_document,
@@ -29,8 +27,6 @@ from rankops import (
     ordered_bell,
     replay_witness,
     run_axiom_reports,
-    verify_implications,
-    verify_matrix,
 )
 
 AXIOMS = tuple(Axiom)
@@ -66,6 +62,11 @@ def reports3():
 @pytest.fixture(scope="module")
 def reports4():
     return run_axiom_reports(4)
+
+
+@pytest.fixture(scope="module")
+def document4():
+    return build_verification_document(4)
 
 
 # ----- individual checkers ----------------------------------------------------
@@ -273,10 +274,12 @@ def test_observed_verdicts_match_frozen_table(reports4):
         assert report.verdict is _expected(name, axiom), (name, axiom)
 
 
-def test_verify_matrix_passes_at_four():
-    cells = verify_matrix(4)
-    assert len(cells) == len(REGISTRY) * len(AXIOMS)
-    assert all(cell.matches for cell in cells)
+def test_verify_matrix_passes_at_four(document4):
+    document, ok = document4
+    assert ok
+    assert len(document["matrix"]) == len(REGISTRY) * len(AXIOMS)
+    assert all(row["expected"] == row["observed"] for row in document["matrix"])
+    assert document["matrixMatchesExpected"] is True
 
 
 def test_verify_matrix_reports_mismatches(monkeypatch):
@@ -285,39 +288,53 @@ def test_verify_matrix_reports_mismatches(monkeypatch):
     key = ("dense", Axiom.EQUALITY)
     doctored = dataclasses.replace(EXPECTED_MATRIX[key], verdict=Verdict.FAIL)
     monkeypatch.setitem(axioms_module.EXPECTED_MATRIX, key, doctored)
-    with pytest.raises(MatrixMismatch) as excinfo:
-        verify_matrix(3)
-    error = excinfo.value
-    assert [(c.operator, c.axiom) for c in error.mismatches] == [key]
-    assert len(error.results) == len(REGISTRY) * len(AXIOMS)
+    document, ok = build_verification_document(3)
+    assert not ok
+    assert document["matrixMatchesExpected"] is False
+    assert document["allExpected"] is False
+    deviating = [row for row in document["matrix"] if row["expected"] != row["observed"]]
+    assert [(row["operator"], row["axiom"]) for row in deviating] == [("dense", "equality")]
+    assert len(document["matrix"]) == len(REGISTRY) * len(AXIOMS)
 
 
-def test_implication_instances_hold(reports4):
-    results = verify_implications(4, reports=reports4)
-    assert len(results) == len(IMPLICATIONS) * len(REGISTRY)
-    assert {r.status for r in results} <= {"consistent", "vacuous"}
-    dense_rows = [r for r in results if r.operator == "dense"]
-    assert all(r.status == "consistent" for r in dense_rows)
+def test_implication_instances_hold(document4):
+    document, _ = document4
+    rows = document["implications"]
+    assert len(rows) == len(IMPLICATIONS) * len(REGISTRY)
+    assert {r["status"] for r in rows} <= {"consistent", "vacuous"}
+    assert document["implicationsConsistent"] is True
+    dense_rows = [r for r in rows if r["operator"] == "dense"]
+    assert all(r["status"] == "consistent" for r in dense_rows)
     # an operator failing an antecedent is exempt, not violating
-    list_index_rows = {r.implication: r.status for r in results if r.operator == "list-index"}
+    list_index_rows = {r["implication"]: r["status"] for r in rows if r["operator"] == "list-index"}
     assert list_index_rows["sequentiality-truncation-ud-imply-equality"] == "vacuous"
     # duplication-stable operators must come out move-stable as well
     contraction_rows = {
-        r.implication: r.status for r in results if r.operator == "dense-over-tiercount"
+        r["implication"]: r["status"] for r in rows if r["operator"] == "dense-over-tiercount"
     }
     assert contraction_rows["duplication-implies-ud-independency"] == "consistent"
 
 
-def test_implication_violation_is_detected(reports3):
-    doctored = dict(reports3)
-    key = ("dense", Axiom.EQUALITY)
-    doctored[key] = dataclasses.replace(doctored[key], verdict=Verdict.FAIL)
-    with pytest.raises(ImplicationViolated) as excinfo:
-        verify_implications(3, reports=doctored)
-    assert any(
-        v.operator == "dense" and v.implication == "neutrality-implies-equality"
-        for v in excinfo.value.violations
-    )
+def test_implication_violation_is_detected(monkeypatch):
+    from rankops import axioms as axioms_module
+
+    check = axioms_module.CHECKERS[Axiom.EQUALITY]
+
+    def doctored(op, max_n):
+        report = check(op, max_n)
+        if op.name == "dense":
+            report = dataclasses.replace(report, verdict=Verdict.FAIL)
+        return report
+
+    monkeypatch.setitem(axioms_module.CHECKERS, Axiom.EQUALITY, doctored)
+    document, ok = build_verification_document(3)
+    assert not ok
+    assert document["implicationsConsistent"] is False
+    assert {
+        "implication": "neutrality-implies-equality",
+        "operator": "dense",
+        "status": "violated",
+    } in document["implications"]
 
 
 def test_verification_document_structure_and_determinism():

@@ -145,6 +145,20 @@ def test_rank_parse_errors():
     assert "'1'" in str(excinfo.value)
 
 
+@pytest.mark.parametrize(
+    "text, input_format, error",
+    [
+        (",1\n", "csv-scores", "line 1, column 1: empty id"),
+        ("a,1\n", "xml", "unknown input format 'xml'"),
+    ],
+    ids=["empty-id", "unknown-input-format"],
+)
+def test_rank_payload_refuses(text, input_format, error):
+    with pytest.raises(InputError) as excinfo:
+        rank_payload(text, method="dense", input_format=input_format)
+    assert str(excinfo.value) == error
+
+
 def test_rank_affine_form_via_method_name():
     out = rank_payload(SCORES, method="affine:a=1/1,b=0/1")
     assert out == "id,position\nx,1\ny,1\nz,2\n"
@@ -172,7 +186,7 @@ def test_rank_round_trips_every_small_order():
 
 
 def test_main_rank_reads_stdin(monkeypatch, capsys):
-    monkeypatch.setattr("sys.stdin", io.StringIO(SCORES))
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(SCORES.encode()), encoding="utf-8"))
     assert main(["rank", "--method", "dense"]) == 0
     assert capsys.readouterr().out == "id,position\nx,1\ny,1\nz,2\n"
 
@@ -185,7 +199,7 @@ def test_main_rank_reads_file(tmp_path, capsys):
 
 
 def test_main_rank_error_paths(monkeypatch, capsys):
-    monkeypatch.setattr("sys.stdin", io.StringIO("x,ten\n"))
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"x,ten\n"), encoding="utf-8"))
     assert main(["rank", "--method", "dense"]) == 2
     assert "error:" in capsys.readouterr().err
     assert main(["rank", "--method", "dense", "/no/such/file.csv"]) == 2
@@ -221,6 +235,24 @@ def test_main_verify_writes_report_and_succeeds(tmp_path, capsys):
     document = json.loads(report.read_text(encoding="utf-8"))
     assert document["allExpected"] is True
     assert document["maxN"] == 3
+
+
+def test_main_verify_exits_1_on_a_mismatch(tmp_path, monkeypatch, capsys):
+    import dataclasses
+
+    from rankops import axioms
+
+    key = ("dense", axioms.Axiom.EQUALITY)
+    doctored = dataclasses.replace(axioms.EXPECTED_MATRIX[key], verdict=axioms.Verdict.FAIL)
+    monkeypatch.setitem(axioms.EXPECTED_MATRIX, key, doctored)
+    report = tmp_path / "report.json"
+    assert main(["verify", "--max-n", "3", "--report", str(report)]) == 1
+    document = json.loads(report.read_text(encoding="utf-8"))
+    assert document["allExpected"] is False
+    assert document["matrixMatchesExpected"] is False
+    deviating = [row for row in document["matrix"] if row["expected"] != row["observed"]]
+    assert [(row["operator"], row["axiom"]) for row in deviating] == [("dense", "equality")]
+    assert capsys.readouterr().err == "verification at max n = 3: MISMATCH\n"
 
 
 def test_main_verify_bounds(capsys):
@@ -295,6 +327,31 @@ def test_subprocess_rank_rejects_non_utf8_from_file_and_stdin(tmp_path, stdin_en
         assert result.returncode == 2
         assert result.stdout == b""
         assert result.stderr == b"error: line 2: input is not valid UTF-8\n"
+
+
+@pytest.mark.parametrize("encoding", [None, "ascii", "latin-1"])
+def test_subprocess_rank_bytes_do_not_depend_on_the_locale(tmp_path, encoding):
+    """Input is read as UTF-8 and output written as UTF-8, from a file and
+    from stdin, whatever encoding the interpreter's streams were given."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
+    if encoding:
+        env["PYTHONIOENCODING"] = encoding
+    env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    path = tmp_path / "scores.csv"
+    for data, expected in (
+        ("a,1\né,2\n".encode("utf-8"), (0, "id,position\né,1\na,2\n".encode("utf-8"), b"")),
+        (b"a,1\n\xe9,2\n", (2, b"", b"error: line 2: input is not valid UTF-8\n")),
+    ):
+        path.write_bytes(data)
+        for extra, stdin in (([str(path)], b""), ([], data)):
+            result = subprocess.run(
+                [sys.executable, "-m", "rankops", "rank", "--method", "dense", *extra],
+                input=stdin,
+                capture_output=True,
+                env=env,
+                cwd=REPO,
+            )
+            assert (result.returncode, result.stdout, result.stderr) == expected
 
 
 # ----- line breaks, line numbers --------------------------------------------
@@ -384,6 +441,32 @@ def test_subprocess_failed_or_missing_stream_is_one_line(tmp_path, args, redirec
         assert result.stderr.startswith("error: ")
     else:
         assert json.loads((tmp_path / "r.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize(
+    "args, redirect, code",
+    [
+        (["rank", "--method", "nope", "scores.csv"], "2>&-", 2),
+        pytest.param(["rank", "--method", "nope", "scores.csv"], "2>/dev/full", 2, marks=NO_DEV_FULL),
+        (["verify", "--max-n", "3", "--report", "r.json"], "2>&-", 0),
+    ],
+    ids=["rank-error-no-stderr", "rank-error-full-stderr", "verify-no-stderr"],
+)
+def test_subprocess_failed_or_missing_stderr_keeps_the_exit_code(tmp_path, args, redirect, code):
+    (tmp_path / "scores.csv").write_text(SCORES, encoding="utf-8")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    result = subprocess.run(
+        ["sh", "-c", f'exec "$@" {redirect}', "sh", sys.executable, "-m", "rankops", *args],
+        capture_output=True,
+        env=env,
+        cwd=tmp_path,
+        timeout=60,
+    )
+    # Nothing reaches stdout in stderr's place.
+    assert (result.returncode, result.stdout, result.stderr) == (code, b"", b"")
+    if code == 0:
+        assert json.loads((tmp_path / "r.json").read_text(encoding="utf-8"))["allExpected"] is True
 
 
 # ----- a byte-order mark before the input ----------------------------------------

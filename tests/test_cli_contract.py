@@ -20,7 +20,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from rankops import from_tiers
 from rankops.cli import InputError, main, rank_payload
-from rankops.operators import PositionAssignment, affine, make_affine_operator, to_fraction
+from rankops.operators import PositionAssignment, affine, list_index, make_affine_operator, to_fraction
 
 REPO = Path(__file__).resolve().parents[1]
 WALL_LIMIT_S = 10.0
@@ -53,8 +53,11 @@ def _one_error_line(stderr: str) -> bool:
         lambda: make_affine_operator("1e20000000", 0),
         lambda: PositionAssignment({"a": "1e20000000"}),
         lambda: affine(from_tiers([["a"], ["b"]]), "1e20000000", 0),
+        # The first label length whose position has more digits than Python prints.
+        lambda: list_index(from_tiers([["z" * 1785]])),
+        lambda: list_index(from_tiers([["z" * 100_000]])),
     ],
-    ids=["make_affine_operator", "PositionAssignment", "affine"],
+    ids=["make_affine_operator", "PositionAssignment", "affine", "list_index-1785", "list_index-100000"],
 )
 def test_huge_text_numbers_are_refused_quickly(build):
     start = time.perf_counter()
@@ -141,6 +144,14 @@ def test_negative_epsilon_reads_the_same_with_or_without_equals():
     assert small.stderr == "error: tie epsilon must be non-negative, got -1/1000\n"
 
 
+def test_negative_epsilon_too_long_to_print_is_called_negative():
+    result = _run(["rank", "--method", "dense", "--tie-epsilon=-1e-5000"], "a,1\n")
+    assert (result.returncode, result.stdout) == (2, "")
+    assert _one_error_line(result.stderr)
+    assert "must be non-negative" in result.stderr
+    assert "not an exact decimal" not in result.stderr
+
+
 def test_help_is_unchanged():
     result = _run(["rank", "--help"])
     assert (result.returncode, result.stderr) == (0, "")
@@ -212,6 +223,8 @@ SEEDS: list[tuple[list[str], bytes]] = [
     (["rank", "--method", "affine:a=1e-4300,b=0"], b"a,1\n"),
     (["rank", "--method", "affine:a=1e4299,b=0"], TWELVE_ROWS.encode()),
     (["rank", "--method", "dense", "--tie-epsilon", "-1/3"], b"a,1\n"),
+    (["rank", "--method", "dense", "--tie-epsilon=-1e-5000"], b"a,1\n"),
+    (["rank", "--method", "list-index"], b"a" * 100_000 + b",1\n"),
     (["rank"], b"a,1\n"),
     (["rank", "--method", "dense", "--input-format", "json-tiers"], LONG_LABEL_JSON.encode()),
     (["rank", "--method", "dense", "--input-format", "json-tiers"], DEEP_JSON.encode()),

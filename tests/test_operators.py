@@ -215,6 +215,14 @@ def test_list_index_is_intrinsic_to_labels():
     assert trimmed["apple"] == positions["apple"]
 
 
+@pytest.mark.parametrize("label", ["", "a", "apple", "é-€", "z" * 1784])
+def test_list_index_of_a_digit_free_label_sums_its_bytes(label):
+    expected = sum(
+        (F(byte + 1, 257**k) for k, byte in enumerate(label.encode("utf-8"), start=1)), F(0)
+    )
+    assert list_index(from_tiers([[label]]))[label] == expected
+
+
 def test_dense_over_tier_count_rescales(two_tied_top):
     positions = dense_over_tier_count(two_tied_top)
     assert positions["x"] == positions["y"] == F(1, 2)
@@ -328,6 +336,12 @@ def test_get_operator_rejects_unknown_names():
         get_operator("affine:a=x,b=1")
     with pytest.raises(NegativeCoefficient):
         get_operator("affine:a=-1,b=0")
+
+
+@pytest.mark.parametrize("name", ["affine:a=1,c=2", "affine:a=1,a=2"])
+def test_get_operator_refuses_a_bad_affine_parameter_list(name):
+    with pytest.raises(UnknownOperator, match="bad affine parameter list"):
+        get_operator(name)
 
 
 def test_assignments_cover_exactly_the_ground_set():

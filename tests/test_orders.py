@@ -355,6 +355,20 @@ def test_enumeration_rejects_empty_ground():
         next(enumerate_linear_orders(set()))
 
 
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: from_pairs(set(), set()), EmptyGround),
+        (lambda: ordered_bell(-1), ValueError),
+        (lambda: from_tiers([{"a"}, {"b"}]).tier_signature().size_of(5), KeyError),
+    ],
+    ids=["from_pairs-empty-ground", "ordered_bell-negative", "size_of-unrealised-count"],
+)
+def test_arguments_outside_the_domain_are_refused(call, error):
+    with pytest.raises(error):
+        call()
+
+
 # ----- JSON interchange -----------------------------------------------------------
 
 

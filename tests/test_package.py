@@ -18,17 +18,16 @@ PUBLIC_NAMES = {
     "OPERATOR_NAMES",
     # axioms
     "Axiom", "Verdict", "Witness", "AxiomReport", "ExpectedCell", "EXPECTED_MATRIX",
-    "CellResult", "MatrixMismatch", "Implication", "IMPLICATIONS", "ImplicationResult",
-    "ImplicationViolated", "engine_ground", "check_equality", "check_neutrality",
+    "Implication", "IMPLICATIONS", "engine_ground", "check_equality", "check_neutrality",
     "check_sequentiality", "check_truncation", "check_duplication",
     "check_ud_independency", "check_monotonicity", "run_axiom_reports", "replay_witness",
-    "verify_matrix", "verify_implications", "build_verification_document",
+    "build_verification_document",
     "__version__",
 }
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC_NAMES) == 73
+    assert len(PUBLIC_NAMES) == 67
     assert len(rankops.__all__) == len(set(rankops.__all__))
     assert set(rankops.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
