@@ -20,6 +20,15 @@ universe in one fixed, documented enumeration order, so two runs always
 produce identical reports and the witness is always the first violation
 encountered.
 
+``run_axiom_reports`` enumerates that universe once for all its cells, and
+gives each operator one position table, shared by the operator's seven
+cells and dropped when the next operator starts.  Operators are pure maps,
+so a position evaluated once is reused for every case that derives the
+same order; a derived order is built only when the table lacks it, or for
+a witness.  Orders holding a clone are always evaluated, never taken from
+a table.  ``replay_witness`` reads no table: it re-derives every order
+through the public transforms and evaluates it with the operator.
+
 The dense rank passes all seven checks.  It is the only registered
 operator that combines sequentiality with duplication, and the only one
 combining sequentiality, truncation and ud-independency; the foil
@@ -37,9 +46,11 @@ duplication is automatically neutral).
 from __future__ import annotations
 
 import itertools
+from contextvars import ContextVar
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterator, Mapping
 
 from .orders import (
@@ -143,6 +154,87 @@ def engine_ground(n: int) -> tuple[str, ...]:
     return tuple(f"x{i}" for i in range(1, n + 1))
 
 
+# ----- the universe and the position tables ---------------------------------
+#
+# An order on labels the engine numbers (x1..xN in a run) is named by its
+# code: the tier index of each label, or -1 where the label is absent.  A
+# code names one order, so a table keyed by codes finds an order derived in
+# one case when another case derives it again.
+
+Code = tuple[int, ...]
+
+
+def _code(order: WeakOrder, slot: Mapping[AltId, int]) -> Code:
+    """The tier index of each label ``slot`` numbers, -1 where it is absent."""
+    code = [-1] * len(slot)
+    for index, tier in enumerate(order.tiers):
+        for alt in tier:
+            code[slot[alt]] = index
+    return tuple(code)
+
+
+@dataclass(frozen=True)
+class _Positions:
+    """One operator's positions on the orders a definition asks for.
+
+    ``slot`` numbers the labels the codes speak of.  With a ``table`` each
+    order is evaluated once and found again by its code; without one every
+    order is built and evaluated afresh.
+    """
+
+    op: PositionOperator
+    slot: Mapping[AltId, int]
+    table: dict[Code, PositionAssignment] | None
+
+    def at(self, key: Code, build: Callable[[], WeakOrder]) -> PositionAssignment:
+        """The positions of the order coded ``key``; ``build`` makes that
+        order when it has to be evaluated."""
+        if self.table is None:
+            return self.op(build())
+        positions = self.table.get(key)
+        if positions is None:
+            positions = self.table[key] = self.op(build())
+        return positions
+
+
+class _Universe:
+    """Every order on x1..xn, n = 1..max_n, enumerated once and coded, and
+    the position table of the operator checked last."""
+
+    def __init__(self, max_n: int) -> None:
+        self.max_n = max_n
+        self.slot = {label: index for index, label in enumerate(engine_ground(max_n))}
+        self._positions: _Positions | None = None
+
+    def _coded(
+        self, enumerate_orders: Callable[[tuple[str, ...]], Iterator[WeakOrder]]
+    ) -> list[tuple[WeakOrder, Code]]:
+        return [
+            (order, _code(order, self.slot))
+            for n in range(1, self.max_n + 1)
+            for order in enumerate_orders(engine_ground(n))
+        ]
+
+    @cached_property
+    def weak_orders(self) -> list[tuple[WeakOrder, Code]]:
+        return self._coded(enumerate_weak_orders)
+
+    @cached_property
+    def linear_orders(self) -> list[tuple[WeakOrder, Code]]:
+        return self._coded(enumerate_linear_orders)
+
+    def positions(self, op: PositionOperator) -> _Positions:
+        """``op``'s table; starting one drops the previous operator's."""
+        if self._positions is None or self._positions.op is not op:
+            self._positions = _Positions(op, self.slot, {})
+        return self._positions
+
+
+# The universe the cells of one ``run_axiom_reports`` call share; the
+# checkers keep their ``(op, max_n)`` signature and find it here.
+_RUN: ContextVar[_Universe | None] = ContextVar("_RUN", default=None)
+
+
 def _fresh_clone(ground: frozenset[AltId]) -> str:
     # Reserved namespace, mechanically disjoint from whatever is in use.
     k = 0
@@ -154,30 +246,36 @@ def _fresh_clone(ground: frozenset[AltId]) -> str:
 # ----- axiom definitions ----------------------------------------------------
 #
 # Each axiom is defined once, as a generator over the cases of one order.
-# The driver (``_check``, or ``replay_witness``) evaluates the base order
-# and passes its positions in as ``base``; a definition calls ``at`` only
-# for the orders it derives from the base.  A case yields the order it
-# compares against (None when it needs only the base order) and its first
-# violating comparison as (subject, other, before, after, detail), or None
-# when the case holds.  The checkers, their case counts and
-# ``replay_witness`` are all views of these generators.
+# The driver (``_check``, or ``replay_witness``) passes in the order, its
+# code and its positions ``base``; a definition asks ``positions`` for
+# those of each order it derives from the base, by that order's code, and
+# builds the derived order itself only for ``positions`` to evaluate or for
+# a witness.  Orders with a clone have no code: they are built and
+# evaluated every time.  A case yields None when it holds, otherwise its
+# first violating comparison as (transformed, subject, other, before,
+# after, detail), where ``transformed`` is the order compared against, or
+# None when the case needs only the base order.  The checkers, their case
+# counts and ``replay_witness`` are all views of these generators.
 
-Case = tuple["WeakOrder | None", "tuple[AltId, AltId | None, Fraction, Fraction, str] | None"]
-At = Callable[[WeakOrder], PositionAssignment]
+Violation = tuple[WeakOrder | None, AltId, AltId | None, Fraction, Fraction, str]
+Definition = Callable[[_Positions, WeakOrder, Code, PositionAssignment], Iterator[Violation | None]]
 
 
-def _equality_cases(at: At, order: WeakOrder, base: PositionAssignment) -> Iterator[Case]:
+def _equality_cases(
+    positions: _Positions, order: WeakOrder, code: Code, base: PositionAssignment
+) -> Iterator[Violation | None]:
     for tier in order.tiers:
         for a, b in itertools.combinations(sorted(tier, key=label_key), 2):
             if base[a] != base[b]:
                 detail = f"tied alternatives {a} and {b} in [{order}] got distinct positions"
-                yield None, (a, b, base[a], base[b], detail)
+                yield None, a, b, base[a], base[b], detail
             else:
-                yield None, None
+                yield None
 
 
-def _permutations_for(ground: tuple[AltId, ...]) -> list[dict[AltId, AltId]]:
-    """The n - 1 adjacent transpositions of ``ground``.
+def _transpositions(alternatives: list[AltId]) -> Iterator[tuple[AltId, AltId]]:
+    """The n - 1 adjacent transpositions of ``alternatives``, as the pairs
+    they swap.
 
     Passing them is a proof of neutrality over all of S_n, not a sample.
     The checker quantifies over every order on the ground set, so the
@@ -186,94 +284,106 @@ def _permutations_for(ground: tuple[AltId, ...]) -> list[dict[AltId, AltId]]:
     op(sigma tau R)(sigma tau x) = op(tau R)(tau x) = op(R)(x).  Adjacent
     transpositions generate S_n.
     """
-    sigmas = []
-    for left, right in zip(ground, ground[1:]):
-        swap = dict(zip(ground, ground))
-        swap[left], swap[right] = right, left
-        sigmas.append(swap)
-    return sigmas
+    return zip(alternatives, alternatives[1:])
 
 
-def _neutrality_cases(at: At, order: WeakOrder, base: PositionAssignment) -> Iterator[Case]:
+def _neutrality_cases(
+    positions: _Positions, order: WeakOrder, code: Code, base: PositionAssignment
+) -> Iterator[Violation | None]:
     alternatives = order.sorted_alternatives()
-    for sigma in _permutations_for(tuple(alternatives)):
-        relabeled = order.relabel(sigma)
-        moved = at(relabeled)
+    for left, right in _transpositions(alternatives):
+        sigma = dict(zip(alternatives, alternatives))
+        sigma[left], sigma[right] = right, left
+        key = list(code)
+        i, j = positions.slot[left], positions.slot[right]
+        key[i], key[j] = key[j], key[i]
+        moved = positions.at(tuple(key), lambda: order.relabel(sigma))
         for alt in alternatives:
             if moved[sigma[alt]] != base[alt]:
                 detail = f"relabelling {alt}->{sigma[alt]} changed the transported position"
-                yield relabeled, (alt, sigma[alt], base[alt], moved[sigma[alt]], detail)
+                yield order.relabel(sigma), alt, sigma[alt], base[alt], moved[sigma[alt]], detail
                 break
         else:
-            yield relabeled, None
+            yield None
 
 
-def _sequentiality_cases(at: At, order: WeakOrder, base: PositionAssignment) -> Iterator[Case]:
+def _sequentiality_cases(
+    positions: _Positions, order: WeakOrder, code: Code, base: PositionAssignment
+) -> Iterator[Violation | None]:
     expected = sequential(order)
     for alt in order.sorted_alternatives():
         if base[alt] != expected[alt]:
             detail = f"linear order [{order}] should place {alt} at {expected[alt]}"
-            yield None, (alt, None, expected[alt], base[alt], detail)
+            yield None, alt, None, expected[alt], base[alt], detail
             return
-    yield None, None
+    yield None
 
 
-def _truncation_cases(at: At, order: WeakOrder, base: PositionAssignment) -> Iterator[Case]:
+def _truncation_cases(
+    positions: _Positions, order: WeakOrder, code: Code, base: PositionAssignment
+) -> Iterator[Violation | None]:
     if order.num_tiers < 2:
         return
-    truncated = order.truncate_bottom()
-    after = at(truncated)
-    for alt in truncated.sorted_alternatives():
+    bottom = order.num_tiers - 1
+    after = positions.at(tuple(-1 if t == bottom else t for t in code), order.truncate_bottom)
+    for alt in sorted(order.ground - order.tiers[bottom], key=label_key):
         if after[alt] != base[alt]:
             detail = f"dropping the bottom tier of [{order}] moved {alt}"
-            yield truncated, (alt, None, base[alt], after[alt], detail)
+            yield order.truncate_bottom(), alt, None, base[alt], after[alt], detail
             return
-    yield truncated, None
+    yield None
 
 
-def _duplication_cases(at: At, order: WeakOrder, base: PositionAssignment) -> Iterator[Case]:
+def _duplication_cases(
+    positions: _Positions, order: WeakOrder, code: Code, base: PositionAssignment
+) -> Iterator[Violation | None]:
     clone = _fresh_clone(order.ground)
     alternatives = order.sorted_alternatives()
     for pattern in alternatives:
         extended = order.duplicate(pattern, clone)
-        moved = at(extended)
+        moved = positions.op(extended)
         for alt in alternatives:
             if moved[alt] != base[alt]:
                 detail = f"cloning {pattern} in [{order}] moved {alt}"
-                yield extended, (alt, None, base[alt], moved[alt], detail)
+                yield extended, alt, None, base[alt], moved[alt], detail
                 break
         else:
             if moved[clone] != moved[pattern]:
                 detail = f"clone of {pattern} in [{order}] missed its pattern's position"
-                yield extended, (clone, pattern, moved[pattern], moved[clone], detail)
+                yield extended, clone, pattern, moved[pattern], moved[clone], detail
             else:
-                yield extended, None
+                yield None
 
 
-def _ud_independency_cases(at: At, order: WeakOrder, base: PositionAssignment) -> Iterator[Case]:
+def _ud_independency_cases(
+    positions: _Positions, order: WeakOrder, code: Code, base: PositionAssignment
+) -> Iterator[Violation | None]:
     alternatives = order.sorted_alternatives()
     for mover in alternatives:
         source = order.tier_index_of(mover)
         if len(order.tiers[source]) < 2:
             continue
+        slot = positions.slot[mover]
         for target in range(order.num_tiers):
             if target == source:
                 continue
-            moved_order = order.ud_move(mover, target)
-            moved = at(moved_order)
+            key = code[:slot] + (target,) + code[slot + 1 :]
+            moved = positions.at(key, lambda: order.ud_move(mover, target))
             for alt in alternatives:
                 if alt != mover and moved[alt] != base[alt]:
                     detail = (
                         f"moving {mover} from tier {source} to tier {target}"
                         f" in [{order}] changed {alt}"
                     )
-                    yield moved_order, (alt, mover, base[alt], moved[alt], detail)
+                    yield order.ud_move(mover, target), alt, mover, base[alt], moved[alt], detail
                     break
             else:
-                yield moved_order, None
+                yield None
 
 
-def _monotonicity_cases(at: At, order: WeakOrder, base: PositionAssignment) -> Iterator[Case]:
+def _monotonicity_cases(
+    positions: _Positions, order: WeakOrder, code: Code, base: PositionAssignment
+) -> Iterator[Violation | None]:
     alternatives = order.sorted_alternatives()
     for a in alternatives:
         for b in alternatives:
@@ -286,12 +396,12 @@ def _monotonicity_cases(at: At, order: WeakOrder, base: PositionAssignment) -> I
                     f"in [{order}]: {a} R {b} is {weakly} but "
                     f"position({a}) <= position({b}) is {le}"
                 )
-                yield None, (a, b, base[a], base[b], detail)
+                yield None, a, b, base[a], base[b], detail
             else:
-                yield None, None
+                yield None
 
 
-_DEFINITIONS: dict[Axiom, Callable[[At, WeakOrder, PositionAssignment], Iterator[Case]]] = {
+_DEFINITIONS: dict[Axiom, Definition] = {
     Axiom.EQUALITY: _equality_cases,
     Axiom.NEUTRALITY: _neutrality_cases,
     Axiom.SEQUENTIALITY: _sequentiality_cases,
@@ -311,24 +421,30 @@ _NEEDS_TIES = frozenset({Axiom.DUPLICATION, Axiom.UD_INDEPENDENCY})
 
 def _check(op: PositionOperator, axiom: Axiom, max_n: int) -> AxiomReport:
     """Run one axiom's definition over every order on x1..xn, n = 1..max_n,
-    and stop at the first violating case."""
+    and stop at the first violating case.
+
+    Inside ``run_axiom_reports`` the cells share its universe; a cell
+    checked on its own enumerates a universe of its own.
+    """
     if max_n < 2:
         raise ValueError(f"max_n must be at least 2, got {max_n}")
     if axiom in _NEEDS_TIES and op.domain is Domain.LINEAR_ONLY:
         return AxiomReport(op.name, axiom, max_n, Verdict.NOT_APPLICABLE, 0, None)
+    universe = _RUN.get()
+    if universe is None or universe.max_n != max_n:
+        universe = _Universe(max_n)
+    positions = universe.positions(op)
     # Sequentiality speaks of linear orders only; every other axiom ranges
     # over the operator's whole domain.
     linear = axiom is Axiom.SEQUENTIALITY or op.domain is Domain.LINEAR_ONLY
-    universe = enumerate_linear_orders if linear else enumerate_weak_orders
     cases_of = _DEFINITIONS[axiom]
     cases = 0
-    for n in range(1, max_n + 1):
-        for order in universe(engine_ground(n)):
-            for transformed, violation in cases_of(op, order, op(order)):
-                cases += 1
-                if violation is not None:
-                    witness = Witness(order, transformed, *violation)
-                    return AxiomReport(op.name, axiom, max_n, Verdict.FAIL, cases, witness)
+    for order, code in universe.linear_orders if linear else universe.weak_orders:
+        for violation in cases_of(positions, order, code, positions.at(code, lambda: order)):
+            cases += 1
+            if violation is not None:
+                witness = Witness(order, *violation)
+                return AxiomReport(op.name, axiom, max_n, Verdict.FAIL, cases, witness)
     return AxiomReport(op.name, axiom, max_n, Verdict.PASS, cases, None)
 
 
@@ -413,15 +529,20 @@ CHECKERS: dict[Axiom, Callable[[PositionOperator, int], AxiomReport]] = {
 def replay_witness(op: PositionOperator, axiom: Axiom, witness: Witness) -> bool:
     """Re-derive a reported violation through the public operator interface.
 
-    Re-runs the axiom's definition on the witness's base order.  Returns
-    True when some case against the witness's transformed order yields
-    exactly its subject, other, before and after, i.e. the report was
-    sound.
+    Re-runs the axiom's definition on the witness's base order, building
+    every derived order through the public transforms and evaluating it
+    with ``op``; no position table is read.  Returns True when some case
+    yields exactly the witness's transformed order, subject, other, before
+    and after, i.e. the report was sound.
     """
-    claim = (witness.subject, witness.other, witness.before, witness.after)
+    base = witness.base
+    slot = {alt: index for index, alt in enumerate(base.sorted_alternatives())}
+    claim = (witness.transformed, witness.subject, witness.other, witness.before, witness.after)
     return any(
-        transformed == witness.transformed and violation is not None and violation[:4] == claim
-        for transformed, violation in _DEFINITIONS[axiom](op, witness.base, op(witness.base))
+        violation is not None and violation[:5] == claim
+        for violation in _DEFINITIONS[axiom](
+            _Positions(op, slot, None), base, _code(base, slot), op(base)
+        )
     )
 
 
@@ -590,12 +711,20 @@ EXPECTED_MATRIX: dict[tuple[str, Axiom], ExpectedCell] = _expected_matrix()
 
 
 def run_axiom_reports(max_n: int) -> dict[tuple[str, Axiom], AxiomReport]:
-    """Run all seven checkers for every registered operator."""
-    return {
-        (name, axiom): CHECKERS[axiom](operator, max_n)
-        for name, operator in REGISTRY.items()
-        for axiom in Axiom
-    }
+    """Run all seven checkers for every registered operator.
+
+    The universe is enumerated once for all the cells, and each operator's
+    position table serves its seven cells; neither outlives the call.
+    """
+    token = _RUN.set(_Universe(max_n))
+    try:
+        return {
+            (name, axiom): CHECKERS[axiom](operator, max_n)
+            for name, operator in REGISTRY.items()
+            for axiom in Axiom
+        }
+    finally:
+        _RUN.reset(token)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,8 @@ mismatch, 2 malformed input, out-of-range arguments, or input or output
 that cannot be read or written (a closed stdin or stdout included), 141
 stdout closed by its reader before the output was written.  A closed or
 failed stderr changes no exit code.  ``rank`` reads and writes UTF-8
-whatever the locale, and drops a leading byte-order mark from its input.
+whatever the locale, and drops a leading byte-order mark from its input;
+error lines are UTF-8 too.
 """
 
 from __future__ import annotations
@@ -458,6 +459,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     for i in range(len(argv) - 1, 0, -1):
         if argv[i - 1] == "--tie-epsilon" and re.match(r"-[\d.]", argv[i]):
             argv[i - 1 : i + 1] = [f"--tie-epsilon={argv[i]}"]
+    if isinstance(sys.stderr, io.TextIOWrapper):
+        # A process stderr: its bytes do not depend on the locale either, and
+        # text that UTF-8 cannot hold is escaped, as stderr always escapes it.
+        sys.stderr.reconfigure(encoding="utf-8", errors="backslashreplace")
     try:
         args = parser.parse_args(argv)
         if isinstance(sys.stdout, io.TextIOWrapper):

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
 import math
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -11,6 +14,9 @@ from rankops import (
     IMPLICATIONS,
     REGISTRY,
     Axiom,
+    Domain,
+    PositionAssignment,
+    PositionOperator,
     Verdict,
     Witness,
     build_verification_document,
@@ -21,6 +27,7 @@ from rankops import (
     check_sequentiality,
     check_truncation,
     check_ud_independency,
+    dense,
     engine_ground,
     enumerate_weak_orders,
     from_tiers,
@@ -28,6 +35,7 @@ from rankops import (
     replay_witness,
     run_axiom_reports,
 )
+from rankops.axioms import CHECKERS
 
 AXIOMS = tuple(Axiom)
 LETTER = {"P": Verdict.PASS, "F": Verdict.FAIL, "N": Verdict.NOT_APPLICABLE}
@@ -259,6 +267,69 @@ def test_verdicts_stable_between_bounds(reports3, reports4):
         assert report.verdict is reports4[key].verdict
 
 
+# SHA-256 of the report ``verify --max-n N`` writes.  Any change to a
+# verdict, a case count, a witness or the serialisation shows here.
+REPORT_SHA256 = {
+    3: "a338899f659ddae91016630a9e7dd4f594700225e14d29ad5ba206e0152d9489",
+    4: "e0c1125a07dd545dc21b204eed30878f9711d473b4e23156628652c63e6198a6",
+    5: "ab6820a1ec5094203013a8014ddc8e92f18c3eda6a0dea772c536b867d3ea260",
+}
+
+
+@pytest.mark.parametrize("max_n", sorted(REPORT_SHA256))
+def test_report_bytes_are_pinned(max_n):
+    document, ok = build_verification_document(max_n)
+    assert ok
+    data = (json.dumps(document, indent=2) + "\n").encode("utf-8")
+    assert hashlib.sha256(data).hexdigest() == REPORT_SHA256[max_n]
+
+
+# ----- the shared universe and position tables -------------------------------
+
+
+def _has_clone(order) -> bool:
+    return any(str(alt).startswith("+c") for alt in order.ground)
+
+
+def test_cells_checked_alone_match_the_shared_run(reports4):
+    for (name, axiom), report in reports4.items():
+        assert CHECKERS[axiom](REGISTRY[name], 4) == report, (name, axiom)
+
+
+def test_clone_orders_are_always_evaluated():
+    """An operator that values a clone label one higher than dense fails
+    duplication on the clone itself, which a table lookup could not see."""
+
+    def clone_shifted(order):
+        positions = dense(order)
+        return PositionAssignment(
+            {alt: positions[alt] + (1 if str(alt).startswith("+") else 0) for alt in positions}
+        )
+
+    op = PositionOperator("clone-shifted", Domain.ALL_WEAK_ORDERS, clone_shifted)
+    report = CHECKERS[Axiom.DUPLICATION](op, 4)
+    assert report.verdict is Verdict.FAIL
+    assert report.witness.subject == "+c0"
+    assert (report.witness.before, report.witness.after) == (F(1), F(2))
+    assert replay_witness(op, Axiom.DUPLICATION, report.witness)
+
+
+def test_a_run_evaluates_each_order_once_per_operator(monkeypatch):
+    evaluated = Counter()
+    call = PositionOperator.__call__
+
+    def counted(op, order):
+        evaluated[(op.name, order)] += 1
+        return call(op, order)
+
+    monkeypatch.setattr(PositionOperator, "__call__", counted)
+    run_axiom_reports(4)
+    assert set(name for name, _ in evaluated) == set(REGISTRY)
+    assert any(_has_clone(order) for _, order in evaluated)
+    repeated = [key for key, count in evaluated.items() if count > 1 and not _has_clone(key[1])]
+    assert repeated == []
+
+
 # ----- matrix and implications ------------------------------------------------------
 
 
@@ -338,8 +409,6 @@ def test_implication_violation_is_detected(monkeypatch):
 
 
 def test_verification_document_structure_and_determinism():
-    import json
-
     first, ok_first = build_verification_document(3)
     second, ok_second = build_verification_document(3)
     assert ok_first and ok_second

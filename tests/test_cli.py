@@ -331,8 +331,9 @@ def test_subprocess_rank_rejects_non_utf8_from_file_and_stdin(tmp_path, stdin_en
 
 @pytest.mark.parametrize("encoding", [None, "ascii", "latin-1"])
 def test_subprocess_rank_bytes_do_not_depend_on_the_locale(tmp_path, encoding):
-    """Input is read as UTF-8 and output written as UTF-8, from a file and
-    from stdin, whatever encoding the interpreter's streams were given."""
+    """Input is read as UTF-8 and output and error lines written as UTF-8,
+    from a file and from stdin, whatever encoding the interpreter's streams
+    were given."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
     if encoding:
         env["PYTHONIOENCODING"] = encoding
@@ -341,6 +342,10 @@ def test_subprocess_rank_bytes_do_not_depend_on_the_locale(tmp_path, encoding):
     for data, expected in (
         ("a,1\né,2\n".encode("utf-8"), (0, "id,position\né,1\na,2\n".encode("utf-8"), b"")),
         (b"a,1\n\xe9,2\n", (2, b"", b"error: line 2: input is not valid UTF-8\n")),
+        (
+            "é,1\né,2\n".encode("utf-8"),
+            (2, b"", "error: line 2: duplicate id 'é'\n".encode("utf-8")),
+        ),
     ):
         path.write_bytes(data)
         for extra, stdin in (([str(path)], b""), ([], data)):
