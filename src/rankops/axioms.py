@@ -246,7 +246,7 @@ def _fresh_clone(ground: frozenset[AltId]) -> str:
 # ----- axiom definitions ----------------------------------------------------
 #
 # Each axiom is defined once, as a generator over the cases of one order.
-# The driver (``_check``, or ``replay_witness``) passes in the order, its
+# The caller (``_check``, or ``replay_witness``) passes in the order, its
 # code and its positions ``base``; a definition asks ``positions`` for
 # those of each order it derives from the base, by that order's code, and
 # builds the derived order itself only for ``positions`` to evaluate or for

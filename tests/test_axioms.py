@@ -324,7 +324,7 @@ def test_a_run_evaluates_each_order_once_per_operator(monkeypatch):
 
     monkeypatch.setattr(PositionOperator, "__call__", counted)
     run_axiom_reports(4)
-    assert set(name for name, _ in evaluated) == set(REGISTRY)
+    assert {name for name, _ in evaluated} == set(REGISTRY)
     assert any(_has_clone(order) for _, order in evaluated)
     repeated = [key for key, count in evaluated.items() if count > 1 and not _has_clone(key[1])]
     assert repeated == []
