@@ -4,7 +4,9 @@ Seven properties are checked for every registered operator by brute force
 over all weak orders on ground sets x1..xn up to a configurable size:
 
 * equality          - tied alternatives receive equal positions
-* neutrality        - positions transport along any relabelling
+* neutrality        - positions transport along every permutation of
+                      x1..xn (relabellings onto other label sets, such
+                      as {x1, x2} -> {x1, x3}, lie outside the universe)
 * sequentiality     - linear orders get exactly 1..n
 * truncation        - deleting the bottom tier moves no survivor
 * duplication       - cloning an alternative into its tier moves nobody,
@@ -20,14 +22,15 @@ universe in one fixed, documented enumeration order, so two runs always
 produce identical reports and the witness is always the first violation
 encountered.
 
-``run_axiom_reports`` enumerates that universe once for all its cells, and
-gives each operator one position table, shared by the operator's seven
-cells and dropped when the next operator starts.  Operators are pure maps,
-so a position evaluated once is reused for every case that derives the
-same order; a derived order is built only when the table lacks it, or for
-a witness.  Orders holding a clone are always evaluated, never taken from
-a table.  ``replay_witness`` reads no table: it re-derives every order
-through the public transforms and evaluates it with the operator.
+``run_axiom_reports`` enumerates the weak orders of that universe once
+for all its cells, and the linear cells read its linear members.  It fixes
+the clone label once, in the positions context, and gives each operator
+one position table, shared by its seven cells and dropped when the next
+operator starts.  Operators are pure maps, so a position evaluated once
+is reused for every case that derives the same order; a derived order is
+built only when the table lacks it, or for a witness.  Orders holding a
+clone are always evaluated, never tabled.  ``replay_witness`` evaluates
+through a table of its own, never the run's.
 
 The dense rank passes all seven checks.  It is the only registered
 operator that combines sequentiality with duplication, and the only one
@@ -50,13 +53,11 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
 from typing import Callable, Iterator, Mapping
 
 from .orders import (
     AltId,
     WeakOrder,
-    enumerate_linear_orders,
     enumerate_weak_orders,
     label_key,
     weak_order_to_json,
@@ -177,20 +178,19 @@ def _code(order: WeakOrder, slot: Mapping[AltId, int]) -> Code:
 class _Positions:
     """One operator's positions on the orders a definition asks for.
 
-    ``slot`` numbers the labels the codes speak of.  With a ``table`` each
-    order is evaluated once and found again by its code; without one every
-    order is built and evaluated afresh.
+    ``slot`` numbers the labels the codes speak of, and ``clone`` is the
+    label duplication gives a clone, one that no coded order uses.  Each
+    order is evaluated once and found again by its code in ``table``.
     """
 
     op: PositionOperator
     slot: Mapping[AltId, int]
-    table: dict[Code, PositionAssignment] | None
+    clone: AltId
+    table: dict[Code, PositionAssignment]
 
     def at(self, key: Code, build: Callable[[], WeakOrder]) -> PositionAssignment:
         """The positions of the order coded ``key``; ``build`` makes that
         order when it has to be evaluated."""
-        if self.table is None:
-            return self.op(build())
         positions = self.table.get(key)
         if positions is None:
             positions = self.table[key] = self.op(build())
@@ -198,35 +198,25 @@ class _Positions:
 
 
 class _Universe:
-    """Every order on x1..xn, n = 1..max_n, enumerated once and coded, and
-    the position table of the operator checked last."""
+    """Every weak order on x1..xn, n = 1..max_n, coded, the run's clone
+    label, and the position table of the operator checked last."""
 
     def __init__(self, max_n: int) -> None:
         self.max_n = max_n
-        self.slot = {label: index for index, label in enumerate(engine_ground(max_n))}
-        self._positions: _Positions | None = None
-
-    def _coded(
-        self, enumerate_orders: Callable[[tuple[str, ...]], Iterator[WeakOrder]]
-    ) -> list[tuple[WeakOrder, Code]]:
-        return [
+        ground = engine_ground(max_n)
+        self.slot = {label: index for index, label in enumerate(ground)}
+        self.clone = _fresh_clone(frozenset(ground))
+        self.orders = [
             (order, _code(order, self.slot))
-            for n in range(1, self.max_n + 1)
-            for order in enumerate_orders(engine_ground(n))
+            for n in range(1, max_n + 1)
+            for order in enumerate_weak_orders(engine_ground(n))
         ]
-
-    @cached_property
-    def weak_orders(self) -> list[tuple[WeakOrder, Code]]:
-        return self._coded(enumerate_weak_orders)
-
-    @cached_property
-    def linear_orders(self) -> list[tuple[WeakOrder, Code]]:
-        return self._coded(enumerate_linear_orders)
+        self._positions: _Positions | None = None
 
     def positions(self, op: PositionOperator) -> _Positions:
         """``op``'s table; starting one drops the previous operator's."""
         if self._positions is None or self._positions.op is not op:
-            self._positions = _Positions(op, self.slot, {})
+            self._positions = _Positions(op, self.slot, self.clone, {})
         return self._positions
 
 
@@ -337,7 +327,7 @@ def _truncation_cases(
 def _duplication_cases(
     positions: _Positions, order: WeakOrder, code: Code, base: PositionAssignment
 ) -> Iterator[Violation | None]:
-    clone = _fresh_clone(order.ground)
+    clone = positions.clone
     alternatives = order.sorted_alternatives()
     for pattern in alternatives:
         extended = order.duplicate(pattern, clone)
@@ -439,7 +429,9 @@ def _check(op: PositionOperator, axiom: Axiom, max_n: int) -> AxiomReport:
     linear = axiom is Axiom.SEQUENTIALITY or op.domain is Domain.LINEAR_ONLY
     cases_of = _DEFINITIONS[axiom]
     cases = 0
-    for order, code in universe.linear_orders if linear else universe.weak_orders:
+    for order, code in universe.orders:
+        if linear and not order.is_linear:
+            continue
         for violation in cases_of(positions, order, code, positions.at(code, lambda: order)):
             cases += 1
             if violation is not None:
@@ -459,9 +451,9 @@ def check_equality(op: PositionOperator, max_n: int) -> AxiomReport:
 
 
 def check_neutrality(op: PositionOperator, max_n: int) -> AxiomReport:
-    """Positions must follow the alternatives through any relabelling.
+    """Positions must follow every permutation of the alternatives.
 
-    One case per (order, relabelling) pair.
+    One case per (order, adjacent transposition) pair.
     """
     return _check(op, Axiom.NEUTRALITY, max_n)
 
@@ -529,19 +521,21 @@ CHECKERS: dict[Axiom, Callable[[PositionOperator, int], AxiomReport]] = {
 def replay_witness(op: PositionOperator, axiom: Axiom, witness: Witness) -> bool:
     """Re-derive a reported violation through the public operator interface.
 
-    Re-runs the axiom's definition on the witness's base order, building
-    every derived order through the public transforms and evaluating it
-    with ``op``; no position table is read.  Returns True when some case
-    yields exactly the witness's transformed order, subject, other, before
-    and after, i.e. the report was sound.
+    Re-runs the axiom's definition on the witness's base order through a
+    position table of its own, building each derived order through the
+    public transforms and evaluating it with ``op``.  Returns True when
+    some case yields exactly the witness's transformed order, subject,
+    other, before and after, i.e. the report was sound.
     """
     base = witness.base
     slot = {alt: index for index, alt in enumerate(base.sorted_alternatives())}
+    positions = _Positions(op, slot, _fresh_clone(base.ground), {})
+    code = _code(base, slot)
     claim = (witness.transformed, witness.subject, witness.other, witness.before, witness.after)
     return any(
         violation is not None and violation[:5] == claim
         for violation in _DEFINITIONS[axiom](
-            _Positions(op, slot, None), base, _code(base, slot), op(base)
+            positions, base, code, positions.at(code, lambda: base)
         )
     )
 

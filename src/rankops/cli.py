@@ -109,15 +109,18 @@ def _csv_rows(text: str) -> Iterator[tuple[int, list[str]]]:
         raise ParseError(f"line {reader.line_num}: {exc}") from None
 
 
-def _refusal(text: str, name: str, otherwise: str) -> str:
+def _refusal(text: str, name: str, error: Exception, otherwise: str) -> str:
     """Why :func:`parse_exact` refused ``text``, which the message calls ``name``.
 
-    A run of more digits than Python reads into an integer is named as the
-    reason; any other refusal is the message ``otherwise``.
+    A run of more digits than Python reads into an integer, and a decimal
+    that ``error`` places beyond parse_exact's exponent range, are named as
+    the reason; any other refusal is the message ``otherwise``.
     """
     limit = _digit_limit()
     if any(len(run.replace("_", "")) > limit for run in _DIGIT_RUN.findall(text)):
         return f"{name} has more digits than Python prints ({limit}): {text!r}"
+    if str(error).startswith("exponent out of range"):
+        return f"{name} has an exponent out of range: {text!r}"
     return otherwise
 
 
@@ -141,10 +144,10 @@ def _parse_scores(text: str, has_header: bool) -> dict[Score, list[str]]:
         seen.add(ident)
         try:
             score = parse_exact(raw_score)
-        except (ValueError, ZeroDivisionError):
+        except (ValueError, ZeroDivisionError) as exc:
             where = f"line {line_no}, column 2"
             raise ParseError(
-                _refusal(raw_score, f"{where}: score", f"{where}: not an exact decimal: {raw_score!r}")
+                _refusal(raw_score, f"{where}: score", exc, f"{where}: not an exact decimal: {raw_score!r}")
             ) from None
         groups.setdefault(score, []).append(ident)
     if not groups:
@@ -295,9 +298,9 @@ def rank_payload(
         raise InputError(f"unknown output format {output_format!r}")
     try:
         epsilon = parse_exact(str(tie_epsilon))
-    except (ValueError, ZeroDivisionError):
+    except (ValueError, ZeroDivisionError) as exc:
         raise InputError(
-            _refusal(str(tie_epsilon), "tie epsilon", f"tie epsilon is not an exact decimal: {tie_epsilon!r}")
+            _refusal(str(tie_epsilon), "tie epsilon", exc, f"tie epsilon is not an exact decimal: {tie_epsilon!r}")
         ) from None
     if epsilon < 0:
         try:

@@ -342,6 +342,28 @@ def test_long_digit_runs_are_named_as_such(args, text, tmp_path, capsys):
     assert "set_int_max_str_digits" not in captured.err
 
 
+@pytest.mark.parametrize(
+    "args, text",
+    [
+        ([], "a,1e999999999999999999\n"),
+        ([], "a,1e-999999999999999999\n"),
+        (["--tie-epsilon", "1e999999999999999999"], "a,1\n"),
+        (["--tie-epsilon", "1e-999999999999999999"], "a,1\n"),
+    ],
+    ids=["score-e+", "score-e-", "epsilon-e+", "epsilon-e-"],
+)
+def test_exponents_out_of_range_are_named_as_such(args, text, tmp_path, capsys):
+    # An exact decimal, refused only because its leading digit lies too far
+    # from the point.
+    path = tmp_path / "input"
+    path.write_text(text, encoding="utf-8")
+    assert main(["rank", "--method", "dense", *args, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert _one_error_line(captured.err)
+    assert "exponent out of range" in captured.err
+    assert "not an exact decimal" not in captured.err
+
+
 NESTED_900_JSON = '{"tiers":[[' + "[" * 900 + "]" * 900 + "]]}"
 
 

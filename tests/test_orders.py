@@ -28,6 +28,7 @@ from rankops import (
     weak_order_from_json,
     weak_order_to_json,
 )
+from rankops.axioms import engine_ground
 
 # Independent count oracle: the number of ordered set partitions of n items
 # satisfies a(0) = 1, a(n) = sum over top-block sizes k of C(n, k) * a(n - k).
@@ -346,6 +347,15 @@ def test_linear_enumeration():
     assert all(order.is_linear and order.num_tiers == 3 for order in orders)
     assert len({order.tiers for order in orders}) == 6
     assert len(list(enumerate_linear_orders(_ground(1)))) == 1
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_linear_members_of_the_weak_enumeration_keep_the_linear_order(n):
+    # The engine scans the linear members of the weak enumeration for its
+    # linear cells; its witnesses stay the same only while this holds.
+    ground = engine_ground(n)
+    linear = [order for order in enumerate_weak_orders(ground) if order.is_linear]
+    assert linear == list(enumerate_linear_orders(ground))
 
 
 def test_enumeration_rejects_empty_ground():
