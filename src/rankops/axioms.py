@@ -32,6 +32,12 @@ built only when the table lacks it, or for a witness.  Orders holding a
 clone are always evaluated, never tabled.  ``replay_witness`` evaluates
 through a table of its own, never the run's.
 
+Positions are compared as per-operator ids: each distinct value an
+operator returns gets a small integer when it is first seen, so two ids
+are equal exactly when the two rationals are.  A witness reads the
+``Fraction``s back, and monotonicity ranks the ids within each order by
+the values they stand for.
+
 The dense rank passes all seven checks.  It is the only registered
 operator that combines sequentiality with duplication, and the only one
 combining sequentiality, truncation and ud-independency; the foil
@@ -50,7 +56,7 @@ from __future__ import annotations
 
 import itertools
 from contextvars import ContextVar
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, Iterator, Mapping
@@ -65,7 +71,6 @@ from .orders import (
 from .operators import (
     REGISTRY,
     Domain,
-    PositionAssignment,
     PositionOperator,
     sequential,
 )
@@ -163,6 +168,8 @@ def engine_ground(n: int) -> tuple[str, ...]:
 # one case when another case derives it again.
 
 Code = tuple[int, ...]
+# Each alternative's position, as the id its operator's ``_Positions`` gave it.
+Ids = dict[AltId, int]
 
 
 def _code(order: WeakOrder, slot: Mapping[AltId, int]) -> Code:
@@ -181,19 +188,43 @@ class _Positions:
     ``slot`` numbers the labels the codes speak of, and ``clone`` is the
     label duplication gives a clone, one that no coded order uses.  Each
     order is evaluated once and found again by its code in ``table``.
+
+    A position is handed out as an id: ``ids`` gives each distinct value,
+    keyed by its numerator and denominator, the index at which ``values``
+    holds the operator's own ``Fraction``.  Both are fresh per operator,
+    so ids compare equal exactly when the positions do.
     """
 
     op: PositionOperator
     slot: Mapping[AltId, int]
     clone: AltId
-    table: dict[Code, PositionAssignment]
+    table: dict[Code, Ids] = field(default_factory=dict)
+    ids: dict[tuple[int, int], int] = field(default_factory=dict)
+    values: list[Fraction] = field(default_factory=list)
 
-    def at(self, key: Code, build: Callable[[], WeakOrder]) -> PositionAssignment:
-        """The positions of the order coded ``key``; ``build`` makes that
+    def evaluate(self, order: WeakOrder) -> Ids:
+        """The id of each alternative's position in ``order``, untabled."""
+        ids, values = self.ids, self.values
+        result = {}
+        last = None
+        for alt, value in self.op(order).items():
+            # Tier mates share one Fraction object; look each object up once.
+            if value is not last:
+                last = value
+                key = (value.numerator, value.denominator)
+                index = ids.get(key)
+                if index is None:
+                    index = ids[key] = len(values)
+                    values.append(value)
+            result[alt] = index
+        return result
+
+    def at(self, key: Code, build: Callable[[], WeakOrder]) -> Ids:
+        """The position ids of the order coded ``key``; ``build`` makes that
         order when it has to be evaluated."""
         positions = self.table.get(key)
         if positions is None:
-            positions = self.table[key] = self.op(build())
+            positions = self.table[key] = self.evaluate(build())
         return positions
 
 
@@ -216,7 +247,7 @@ class _Universe:
     def positions(self, op: PositionOperator) -> _Positions:
         """``op``'s table; starting one drops the previous operator's."""
         if self._positions is None or self._positions.op is not op:
-            self._positions = _Positions(op, self.slot, self.clone, {})
+            self._positions = _Positions(op, self.slot, self.clone)
         return self._positions
 
 
@@ -237,28 +268,33 @@ def _fresh_clone(ground: frozenset[AltId]) -> str:
 #
 # Each axiom is defined once, as a generator over the cases of one order.
 # The caller (``_check``, or ``replay_witness``) passes in the order, its
-# code and its positions ``base``; a definition asks ``positions`` for
-# those of each order it derives from the base, by that order's code, and
+# code and its position ids ``base``; a definition asks ``positions`` for
+# the ids of each order it derives from the base, by that order's code, and
 # builds the derived order itself only for ``positions`` to evaluate or for
 # a witness.  Orders with a clone have no code: they are built and
-# evaluated every time.  A case yields None when it holds, otherwise its
-# first violating comparison as (transformed, subject, other, before,
-# after, detail), where ``transformed`` is the order compared against, or
-# None when the case needs only the base order.  The checkers, their case
-# counts and ``replay_witness`` are all views of these generators.
+# evaluated every time.  Definitions compare ids with ``!=`` only, and read
+# ``positions.values`` only for a witness; sequentiality compares values
+# with 1..n, and monotonicity ranks the ids within each order.  A case
+# yields None when it holds, otherwise its first violating comparison as
+# (transformed, subject, other, before, after, detail), where
+# ``transformed`` is the order compared against, or None when the case
+# needs only the base order, and ``before`` and ``after`` are ``Fraction``s.
+# The checkers, their case counts and ``replay_witness`` are all views of
+# these generators.
 
 Violation = tuple[WeakOrder | None, AltId, AltId | None, Fraction, Fraction, str]
-Definition = Callable[[_Positions, WeakOrder, Code, PositionAssignment], Iterator[Violation | None]]
+Definition = Callable[[_Positions, WeakOrder, Code, Ids], Iterator[Violation | None]]
 
 
 def _equality_cases(
-    positions: _Positions, order: WeakOrder, code: Code, base: PositionAssignment
+    positions: _Positions, order: WeakOrder, code: Code, base: Ids
 ) -> Iterator[Violation | None]:
+    values = positions.values
     for tier in order.tiers:
         for a, b in itertools.combinations(sorted(tier, key=label_key), 2):
             if base[a] != base[b]:
                 detail = f"tied alternatives {a} and {b} in [{order}] got distinct positions"
-                yield None, a, b, base[a], base[b], detail
+                yield None, a, b, values[base[a]], values[base[b]], detail
             else:
                 yield None
 
@@ -278,76 +314,85 @@ def _transpositions(alternatives: list[AltId]) -> Iterator[tuple[AltId, AltId]]:
 
 
 def _neutrality_cases(
-    positions: _Positions, order: WeakOrder, code: Code, base: PositionAssignment
+    positions: _Positions, order: WeakOrder, code: Code, base: Ids
 ) -> Iterator[Violation | None]:
+    values = positions.values
     alternatives = order.sorted_alternatives()
     for left, right in _transpositions(alternatives):
-        sigma = dict(zip(alternatives, alternatives))
-        sigma[left], sigma[right] = right, left
+        swap = {left: right, right: left}
+
+        def relabelled() -> WeakOrder:
+            return order.relabel({alt: swap.get(alt, alt) for alt in alternatives})
+
         key = list(code)
         i, j = positions.slot[left], positions.slot[right]
         key[i], key[j] = key[j], key[i]
-        moved = positions.at(tuple(key), lambda: order.relabel(sigma))
+        moved = positions.at(tuple(key), relabelled)
         for alt in alternatives:
-            if moved[sigma[alt]] != base[alt]:
-                detail = f"relabelling {alt}->{sigma[alt]} changed the transported position"
-                yield order.relabel(sigma), alt, sigma[alt], base[alt], moved[sigma[alt]], detail
+            image = swap.get(alt, alt)
+            if moved[image] != base[alt]:
+                detail = f"relabelling {alt}->{image} changed the transported position"
+                yield relabelled(), alt, image, values[base[alt]], values[moved[image]], detail
                 break
         else:
             yield None
 
 
 def _sequentiality_cases(
-    positions: _Positions, order: WeakOrder, code: Code, base: PositionAssignment
+    positions: _Positions, order: WeakOrder, code: Code, base: Ids
 ) -> Iterator[Violation | None]:
     expected = sequential(order)
     for alt in order.sorted_alternatives():
-        if base[alt] != expected[alt]:
+        value = positions.values[base[alt]]
+        if value != expected[alt]:
             detail = f"linear order [{order}] should place {alt} at {expected[alt]}"
-            yield None, alt, None, expected[alt], base[alt], detail
+            yield None, alt, None, expected[alt], value, detail
             return
     yield None
 
 
 def _truncation_cases(
-    positions: _Positions, order: WeakOrder, code: Code, base: PositionAssignment
+    positions: _Positions, order: WeakOrder, code: Code, base: Ids
 ) -> Iterator[Violation | None]:
     if order.num_tiers < 2:
         return
     bottom = order.num_tiers - 1
+    values = positions.values
     after = positions.at(tuple(-1 if t == bottom else t for t in code), order.truncate_bottom)
     for alt in sorted(order.ground - order.tiers[bottom], key=label_key):
         if after[alt] != base[alt]:
             detail = f"dropping the bottom tier of [{order}] moved {alt}"
-            yield order.truncate_bottom(), alt, None, base[alt], after[alt], detail
+            yield order.truncate_bottom(), alt, None, values[base[alt]], values[after[alt]], detail
             return
     yield None
 
 
 def _duplication_cases(
-    positions: _Positions, order: WeakOrder, code: Code, base: PositionAssignment
+    positions: _Positions, order: WeakOrder, code: Code, base: Ids
 ) -> Iterator[Violation | None]:
     clone = positions.clone
+    values = positions.values
     alternatives = order.sorted_alternatives()
     for pattern in alternatives:
         extended = order.duplicate(pattern, clone)
-        moved = positions.op(extended)
+        moved = positions.evaluate(extended)
         for alt in alternatives:
             if moved[alt] != base[alt]:
                 detail = f"cloning {pattern} in [{order}] moved {alt}"
-                yield extended, alt, None, base[alt], moved[alt], detail
+                yield extended, alt, None, values[base[alt]], values[moved[alt]], detail
                 break
         else:
             if moved[clone] != moved[pattern]:
                 detail = f"clone of {pattern} in [{order}] missed its pattern's position"
-                yield extended, clone, pattern, moved[pattern], moved[clone], detail
+                yield extended, clone, pattern, values[moved[pattern]], values[moved[clone]], detail
             else:
                 yield None
 
 
 def _ud_independency_cases(
-    positions: _Positions, order: WeakOrder, code: Code, base: PositionAssignment
+    positions: _Positions, order: WeakOrder, code: Code, base: Ids
 ) -> Iterator[Violation | None]:
+    values = positions.values
     alternatives = order.sorted_alternatives()
     for mover in alternatives:
         source = order.tier_index_of(mover)
@@ -365,28 +410,32 @@ def _ud_independency_cases(
                         f"moving {mover} from tier {source} to tier {target}"
                         f" in [{order}] changed {alt}"
                     )
-                    yield order.ud_move(mover, target), alt, mover, base[alt], moved[alt], detail
+                    yield order.ud_move(mover, target), alt, mover, values[base[alt]], values[moved[alt]], detail
                     break
             else:
                 yield None
 
 
 def _monotonicity_cases(
-    positions: _Positions, order: WeakOrder, code: Code, base: PositionAssignment
+    positions: _Positions, order: WeakOrder, code: Code, base: Ids
 ) -> Iterator[Violation | None]:
+    # Distinct ids hold distinct values, so ranking the order's few ids by
+    # value once decides every comparison between its positions.
+    values, slot = positions.values, positions.slot
+    rank = {index: r for r, index in enumerate(sorted(set(base.values()), key=values.__getitem__))}
     alternatives = order.sorted_alternatives()
     for a in alternatives:
         for b in alternatives:
             if a == b:
                 continue
-            weakly = order.weakly_prefers(a, b)
-            le = base[a] <= base[b]
+            weakly = code[slot[a]] <= code[slot[b]]
+            le = rank[base[a]] <= rank[base[b]]
             if weakly != le:
                 detail = (
                     f"in [{order}]: {a} R {b} is {weakly} but "
                     f"position({a}) <= position({b}) is {le}"
                 )
-                yield None, a, b, base[a], base[b], detail
+                yield None, a, b, values[base[a]], values[base[b]], detail
             else:
                 yield None
 
@@ -529,7 +578,7 @@ def replay_witness(op: PositionOperator, axiom: Axiom, witness: Witness) -> bool
     """
     base = witness.base
     slot = {alt: index for index, alt in enumerate(base.sorted_alternatives())}
-    positions = _Positions(op, slot, _fresh_clone(base.ground), {})
+    positions = _Positions(op, slot, _fresh_clone(base.ground))
     code = _code(base, slot)
     claim = (witness.transformed, witness.subject, witness.other, witness.before, witness.after)
     return any(

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import re
 import sys
-from collections.abc import Mapping
+from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 from enum import Enum
@@ -96,6 +96,11 @@ class PositionAssignment(Mapping):
 
     def __len__(self) -> int:
         return len(self._positions)
+
+    def items(self) -> ItemsView[AltId, Fraction]:
+        # The dict's own view, not Mapping's generator over __getitem__; its
+        # ``mapping`` is a read-only proxy.
+        return self._positions.items()
 
     def __repr__(self) -> str:
         parts = ", ".join(

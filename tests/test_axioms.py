@@ -34,6 +34,7 @@ from rankops import (
     ordered_bell,
     replay_witness,
     run_axiom_reports,
+    standard,
 )
 from rankops.axioms import CHECKERS
 
@@ -249,6 +250,18 @@ def test_replay_rejects_doctored_witnesses(reports3):
         assert not replay_witness(REGISTRY[name], axiom, stray), (name, axiom)
 
 
+def test_witnesses_carry_the_operators_fractions(reports4):
+    """An id leaked into a witness would still replay, since the replay goes
+    through the same tables, and a small id can print like a position."""
+    fails = [(key, r.witness) for key, r in reports4.items() if r.verdict is Verdict.FAIL]
+    assert fails
+    for key, witness in fails:
+        assert type(witness.before) is F and type(witness.after) is F, key
+    witness = reports4[("standard", Axiom.DUPLICATION)].witness
+    assert witness.before == standard(witness.base)[witness.subject]
+    assert witness.after == standard(witness.transformed)[witness.subject]
+
+
 def test_clone_label_skips_a_taken_reserved_label():
     # The base already holds +c0, so duplication clones as +c1; standard
     # then pushes x from 2 to 3.
@@ -312,6 +325,26 @@ def test_clone_orders_are_always_evaluated():
     assert report.witness.subject == "+c0"
     assert (report.witness.before, report.witness.after) == (F(1), F(2))
     assert replay_witness(op, Axiom.DUPLICATION, report.witness)
+
+
+@pytest.mark.parametrize(
+    "axiom",
+    [Axiom.EQUALITY, Axiom.NEUTRALITY, Axiom.TRUNCATION, Axiom.DUPLICATION, Axiom.UD_INDEPENDENCY],
+)
+def test_equality_type_cells_compare_no_fractions(monkeypatch, axiom):
+    """These cells compare position ids; only a witness reads the values."""
+    calls = Counter()
+    for name in ("__eq__", "__lt__", "__le__"):
+        original = getattr(F, name)
+
+        def counted(self, other, _original=original, _name=name):
+            calls[_name] += 1
+            return _original(self, other)
+
+        monkeypatch.setattr(F, name, counted)
+    report = CHECKERS[axiom](REGISTRY["dense"], 4)
+    assert report.verdict is Verdict.PASS
+    assert calls == Counter()
 
 
 def test_a_run_evaluates_each_order_once_per_operator(monkeypatch):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import time
+from collections.abc import ItemsView
 from fractions import Fraction as F
 
 import pytest
@@ -351,6 +352,16 @@ def test_assignments_cover_exactly_the_ground_set():
             if not operator.in_domain(order):
                 continue
             assert set(operator(order)) == set(order.ground)
+
+
+def test_assignment_items_is_a_read_only_view_of_its_positions(two_tied_top):
+    assignment = dense(two_tied_top)
+    items = assignment.items()
+    assert items == dict(assignment).items()
+    assert isinstance(items, ItemsView)
+    with pytest.raises(TypeError):
+        items.mapping["x"] = F(5)
+    assert assignment["x"] == 1
 
 
 def test_assignment_repr_lists_alternatives_in_label_order():
