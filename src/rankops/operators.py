@@ -88,6 +88,13 @@ class PositionAssignment(Mapping):
             for alt, value in positions.items()
         }
 
+    @classmethod
+    def _trusted(cls, positions: dict[AltId, Fraction]) -> PositionAssignment:
+        """Wrap ``positions``, whose values are all Fractions, without the check."""
+        assignment = cls.__new__(cls)
+        assignment._positions = positions
+        return assignment
+
     def __getitem__(self, alt: AltId) -> Fraction:
         return self._positions[alt]
 
@@ -136,21 +143,25 @@ class PositionOperator:
 # ----- the principal operators --------------------------------------------
 
 
-def _by_tier(order: WeakOrder, value: Callable[[int, int, int], Rational]) -> PositionAssignment:
+def _by_tier(order: WeakOrder, value: Callable[[int, int, int], int | Fraction]) -> PositionAssignment:
     """Give every member of a tier the position ``value(depth, above, size)``.
 
     ``depth`` is the tier's number counted from 1 at the top, ``above`` the
     number of alternatives in the tiers before it and ``size`` its own
     cardinality: the three quantities the tie-aware ranks are defined by.
+    A rule returns an ``int`` or a ``Fraction``.  Only an ``int`` is wrapped,
+    so the members of a tier share one ``Fraction``, the rule's own.
     """
     positions: dict[AltId, Fraction] = {}
     above = 0
     for depth, tier in enumerate(order.tiers, start=1):
-        position = Fraction(value(depth, above, len(tier)))
+        position = value(depth, above, len(tier))
+        if type(position) is not Fraction:
+            position = Fraction(position)
         for alt in tier:
             positions[alt] = position
         above += len(tier)
-    return PositionAssignment(positions)
+    return PositionAssignment._trusted(positions)
 
 
 def sequential(order: WeakOrder) -> PositionAssignment:
@@ -380,10 +391,12 @@ def make_affine_operator(
         raise NegativeCoefficient(f"coefficients must be non-negative, got a={a}, b={b}")
     if name is None:
         name = f"affine:a={a.numerator}/{a.denominator},b={b.numerator}/{b.denominator}"
+    # a * depth + b over the common denominator, built as one Fraction.
+    an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
     return PositionOperator(
         name=name,
         domain=Domain.ALL_WEAK_ORDERS,
-        fn=lambda order: _by_tier(order, lambda depth, above, size: a * depth + b),
+        fn=lambda order: _by_tier(order, lambda depth, above, size: Fraction(an * bd * depth + bn * ad, ad * bd)),
     )
 
 

@@ -31,6 +31,7 @@ from rankops import (
     sequential,
     standard,
 )
+from rankops.operators import _by_tier
 
 
 def _ground(n: int) -> tuple[str, ...]:
@@ -367,6 +368,39 @@ def test_assignment_items_is_a_read_only_view_of_its_positions(two_tied_top):
 def test_assignment_repr_lists_alternatives_in_label_order():
     # Integer labels sort before strings; positions print as fractions do.
     assert repr(dense(from_tiers([{"b"}, {"a", 1}]))) == "PositionAssignment({1: 2, 'a': 2, 'b': 1})"
+
+
+# ----- the shared tier loop --------------------------------------------------
+
+
+def test_by_tier_hands_every_tier_member_the_rules_own_fraction(four_tier_ten):
+    returned = []
+
+    def rule(depth, above, size):
+        returned.append(F(2 * above + size + 1, 2))
+        return returned[-1]
+
+    positions = _by_tier(four_tier_ten, rule)
+    assert len(returned) == four_tier_ten.num_tiers
+    for tier, value in zip(four_tier_ten.tiers, returned):
+        assert all(positions[alt] is value for alt in tier)
+
+
+def test_by_tier_wraps_an_int_rule_value_as_a_fraction(four_tier_ten):
+    positions = _by_tier(four_tier_ten, lambda depth, above, size: above + size)
+    for tier in four_tier_ten.tiers:
+        assert all(type(positions[alt]) is F for alt in tier)
+    assert positions == modified(four_tier_ten)
+
+
+def test_tier_mates_share_one_position_object_exhaustive():
+    tiered = [dense, standard, modified, fractional, quotient, plus_n, dense_over_tier_count, REGISTRY["affine"]]
+    for order in _all_orders(4):
+        for operator in tiered:
+            positions = operator(order)
+            for tier in order.tiers:
+                first = positions[next(iter(tier))]
+                assert all(positions[alt] is first for alt in tier)
 
 
 # ----- randomized cross-checks ----------------------------------------------------
