@@ -186,7 +186,9 @@ class _Positions:
     """One operator's positions on the orders a definition asks for.
 
     ``slot`` numbers the labels the codes speak of, and ``clone`` is the
-    label duplication gives a clone, one that no coded order uses.  Each
+    label duplication gives a clone, one that no coded order uses.
+    ``alternatives[n]`` lists the labels of every base order on n
+    alternatives in label order, so no definition sorts a base order.  Each
     order is evaluated once and found again by its code in ``table``.
 
     A position is handed out as an id: ``ids`` gives each distinct value,
@@ -198,6 +200,7 @@ class _Positions:
     op: PositionOperator
     slot: Mapping[AltId, int]
     clone: AltId
+    alternatives: Mapping[int, tuple[AltId, ...]]
     table: dict[Code, Ids] = field(default_factory=dict)
     ids: dict[tuple[int, int], int] = field(default_factory=dict)
     values: list[Fraction] = field(default_factory=list)
@@ -237,6 +240,9 @@ class _Universe:
         ground = engine_ground(max_n)
         self.slot = {label: index for index, label in enumerate(ground)}
         self.clone = _fresh_clone(frozenset(ground))
+        self.alternatives = {
+            n: tuple(sorted(engine_ground(n), key=label_key)) for n in range(1, max_n + 1)
+        }
         self.orders = [
             (order, _code(order, self.slot))
             for n in range(1, max_n + 1)
@@ -247,7 +253,7 @@ class _Universe:
     def positions(self, op: PositionOperator) -> _Positions:
         """``op``'s table; starting one drops the previous operator's."""
         if self._positions is None or self._positions.op is not op:
-            self._positions = _Positions(op, self.slot, self.clone)
+            self._positions = _Positions(op, self.slot, self.clone, self.alternatives)
         return self._positions
 
 
@@ -272,15 +278,16 @@ def _fresh_clone(ground: frozenset[AltId]) -> str:
 # the ids of each order it derives from the base, by that order's code, and
 # builds the derived order itself only for ``positions`` to evaluate or for
 # a witness.  Orders with a clone have no code: they are built and
-# evaluated every time.  Definitions compare ids with ``!=`` only, and read
-# ``positions.values`` only for a witness; sequentiality compares values
-# with 1..n, and monotonicity ranks the ids within each order.  A case
-# yields None when it holds, otherwise its first violating comparison as
-# (transformed, subject, other, before, after, detail), where
-# ``transformed`` is the order compared against, or None when the case
-# needs only the base order, and ``before`` and ``after`` are ``Fraction``s.
-# The checkers, their case counts and ``replay_witness`` are all views of
-# these generators.
+# evaluated every time.  The base order's labels, in label order, are
+# ``positions.alternatives[order.n]``.  Definitions compare ids with
+# ``!=`` only, and read ``positions.values`` only for a witness;
+# sequentiality compares values with 1..n, and monotonicity ranks the ids
+# within each order.  A case yields None when it holds, otherwise its
+# first violating comparison as (transformed, subject, other, before,
+# after, detail), where ``transformed`` is the order compared against, or
+# None when the case needs only the base order, and ``before`` and
+# ``after`` are ``Fraction``s.  The checkers, their case counts and
+# ``replay_witness`` are all views of these generators.
 
 Violation = tuple[WeakOrder | None, AltId, AltId | None, Fraction, Fraction, str]
 Definition = Callable[[_Positions, WeakOrder, Code, Ids], Iterator[Violation | None]]
@@ -290,8 +297,9 @@ def _equality_cases(
     positions: _Positions, order: WeakOrder, code: Code, base: Ids
 ) -> Iterator[Violation | None]:
     values = positions.values
+    alternatives = positions.alternatives[order.n]
     for tier in order.tiers:
-        for a, b in itertools.combinations(sorted(tier, key=label_key), 2):
+        for a, b in itertools.combinations([alt for alt in alternatives if alt in tier], 2):
             if base[a] != base[b]:
                 detail = f"tied alternatives {a} and {b} in [{order}] got distinct positions"
                 yield None, a, b, values[base[a]], values[base[b]], detail
@@ -299,7 +307,7 @@ def _equality_cases(
                 yield None
 
 
-def _transpositions(alternatives: list[AltId]) -> Iterator[tuple[AltId, AltId]]:
+def _transpositions(alternatives: tuple[AltId, ...]) -> Iterator[tuple[AltId, AltId]]:
     """The n - 1 adjacent transpositions of ``alternatives``, as the pairs
     they swap.
 
@@ -317,7 +325,7 @@ def _neutrality_cases(
     positions: _Positions, order: WeakOrder, code: Code, base: Ids
 ) -> Iterator[Violation | None]:
     values = positions.values
-    alternatives = order.sorted_alternatives()
+    alternatives = positions.alternatives[order.n]
     for left, right in _transpositions(alternatives):
         swap = {left: right, right: left}
 
@@ -342,7 +350,7 @@ def _sequentiality_cases(
     positions: _Positions, order: WeakOrder, code: Code, base: Ids
 ) -> Iterator[Violation | None]:
     expected = sequential(order)
-    for alt in order.sorted_alternatives():
+    for alt in positions.alternatives[order.n]:
         value = positions.values[base[alt]]
         if value != expected[alt]:
             detail = f"linear order [{order}] should place {alt} at {expected[alt]}"
@@ -359,7 +367,8 @@ def _truncation_cases(
     bottom = order.num_tiers - 1
     values = positions.values
     after = positions.at(tuple(-1 if t == bottom else t for t in code), order.truncate_bottom)
-    for alt in sorted(order.ground - order.tiers[bottom], key=label_key):
+    dropped = order.tiers[bottom]
+    for alt in (alt for alt in positions.alternatives[order.n] if alt not in dropped):
         if after[alt] != base[alt]:
             detail = f"dropping the bottom tier of [{order}] moved {alt}"
             yield order.truncate_bottom(), alt, None, values[base[alt]], values[after[alt]], detail
@@ -372,7 +381,7 @@ def _duplication_cases(
 ) -> Iterator[Violation | None]:
     clone = positions.clone
     values = positions.values
-    alternatives = order.sorted_alternatives()
+    alternatives = positions.alternatives[order.n]
     for pattern in alternatives:
         extended = order.duplicate(pattern, clone)
         moved = positions.evaluate(extended)
@@ -393,7 +402,7 @@ def _ud_independency_cases(
     positions: _Positions, order: WeakOrder, code: Code, base: Ids
 ) -> Iterator[Violation | None]:
     values = positions.values
-    alternatives = order.sorted_alternatives()
+    alternatives = positions.alternatives[order.n]
     for mover in alternatives:
         source = order.tier_index_of(mover)
         if len(order.tiers[source]) < 2:
@@ -423,7 +432,7 @@ def _monotonicity_cases(
     # value once decides every comparison between its positions.
     values, slot = positions.values, positions.slot
     rank = {index: r for r, index in enumerate(sorted(set(base.values()), key=values.__getitem__))}
-    alternatives = order.sorted_alternatives()
+    alternatives = positions.alternatives[order.n]
     for a in alternatives:
         for b in alternatives:
             if a == b:
@@ -577,8 +586,9 @@ def replay_witness(op: PositionOperator, axiom: Axiom, witness: Witness) -> bool
     other, before and after, i.e. the report was sound.
     """
     base = witness.base
-    slot = {alt: index for index, alt in enumerate(base.sorted_alternatives())}
-    positions = _Positions(op, slot, _fresh_clone(base.ground))
+    alternatives = tuple(base.sorted_alternatives())
+    slot = {alt: index for index, alt in enumerate(alternatives)}
+    positions = _Positions(op, slot, _fresh_clone(base.ground), {base.n: alternatives})
     code = _code(base, slot)
     claim = (witness.transformed, witness.subject, witness.other, witness.before, witness.after)
     return any(

@@ -88,13 +88,6 @@ class PositionAssignment(Mapping):
             for alt, value in positions.items()
         }
 
-    @classmethod
-    def _trusted(cls, positions: dict[AltId, Fraction]) -> PositionAssignment:
-        """Wrap ``positions``, whose values are all Fractions, without the check."""
-        assignment = cls.__new__(cls)
-        assignment._positions = positions
-        return assignment
-
     def __getitem__(self, alt: AltId) -> Fraction:
         return self._positions[alt]
 
@@ -161,7 +154,7 @@ def _by_tier(order: WeakOrder, value: Callable[[int, int, int], int | Fraction])
         for alt in tier:
             positions[alt] = position
         above += len(tier)
-    return PositionAssignment._trusted(positions)
+    return PositionAssignment(positions)
 
 
 def sequential(order: WeakOrder) -> PositionAssignment:

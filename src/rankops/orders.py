@@ -218,13 +218,9 @@ class WeakOrder:
         """Number of alternatives strictly below ``alt``."""
         return self._below[self.tier_index_of(alt)]
 
-    @cached_property
-    def _sorted(self) -> tuple[AltId, ...]:
-        return tuple(sorted(self.ground, key=label_key))
-
     def sorted_alternatives(self) -> list[AltId]:
-        """All alternatives in the canonical label order, as a fresh list."""
-        return list(self._sorted)
+        """All alternatives in the canonical label order."""
+        return sorted(self.ground, key=label_key)
 
     def tier_signature(self) -> TierSignature:
         sizes = tuple(zip(self._below, map(len, self.tiers)))
@@ -353,22 +349,20 @@ def from_pairs(
     for a, b in itertools.combinations(ordered, 2):
         if (a, b) not in related and (b, a) not in related:
             raise NotComplete(f"neither {a!r} R {b!r} nor {b!r} R {a!r}")
-    dominated = {a: sum(1 for b in members if (b, a) not in related) for a in members}
-    # A complete relation is transitive exactly when a R b holds iff a
-    # dominates at least as many alternatives as b.  Only when that fails is
-    # the O(n^3) search for the reported witness triple run.
-    if any(((a, b) in related) != (dominated[a] >= dominated[b]) for a in members for b in members):
-        for a in ordered:
-            for b in ordered:
-                for c in ordered:
-                    if (a, b) in related and (b, c) in related and (a, c) not in related:
-                        raise NotTransitive(
-                            f"{a!r} R {b!r} and {b!r} R {c!r} but not {a!r} R {c!r}"
-                        )
+    for a in ordered:
+        for b in ordered:
+            for c in ordered:
+                if (a, b) in related and (b, c) in related and (a, c) not in related:
+                    raise NotTransitive(
+                        f"{a!r} R {b!r} and {b!r} R {c!r} but not {a!r} R {c!r}"
+                    )
+
+    def dominated(a: AltId) -> int:
+        return sum(1 for b in members if b != a and (b, a) not in related)
 
     groups: dict[int, set[AltId]] = {}
-    for a, count in dominated.items():
-        groups.setdefault(count, set()).add(a)
+    for a in members:
+        groups.setdefault(dominated(a), set()).add(a)
     tiers = tuple(frozenset(groups[p]) for p in sorted(groups, reverse=True))
     return WeakOrder(tiers)
 
