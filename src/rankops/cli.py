@@ -28,6 +28,7 @@ import re
 import sys
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_CEILING, Context, Decimal
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterator, NoReturn, Sequence, TextIO, Union
 
 from .axioms import build_verification_document, engine_ground
@@ -125,8 +126,15 @@ def _refusal(text: str, name: str, error: Exception, otherwise: str) -> str:
 
 
 def _parse_scores(text: str, has_header: bool) -> dict[Score, list[str]]:
-    """Parse ``id,score`` CSV rows, grouping the ids by exact score."""
+    """Parse ``id,score`` CSV rows, grouping the ids by exact score.
+
+    Each distinct score text, stripped, is parsed once, on its first row;
+    a later row with the same text joins that row's group.  Every row's id
+    is checked before its score, and a refused score is reported at the
+    first row that has it.
+    """
     groups: dict[Score, list[str]] = {}
+    by_text: dict[str, list[str]] = {}
     seen: set[str] = set()
     rows = _csv_rows(text)
     if has_header:
@@ -142,14 +150,18 @@ def _parse_scores(text: str, has_header: bool) -> dict[Score, list[str]]:
         if ident in seen:
             raise DuplicateId(f"line {line_no}: duplicate id {ident!r}")
         seen.add(ident)
-        try:
-            score = parse_exact(raw_score)
-        except (ValueError, ZeroDivisionError) as exc:
-            where = f"line {line_no}, column 2"
-            raise ParseError(
-                _refusal(raw_score, f"{where}: score", exc, f"{where}: not an exact decimal: {raw_score!r}")
-            ) from None
-        groups.setdefault(score, []).append(ident)
+        group = by_text.get(raw_score)
+        if group is None:
+            try:
+                score = parse_exact(raw_score)
+            except (ValueError, ZeroDivisionError) as exc:
+                where = f"line {line_no}, column 2"
+                raise ParseError(
+                    _refusal(raw_score, f"{where}: score", exc, f"{where}: not an exact decimal: {raw_score!r}")
+                ) from None
+            # Texts such as 0.5 and 1/2 are one score, so they share a group.
+            group = by_text[raw_score] = groups.setdefault(score, [])
+        group.append(ident)
     if not groups:
         raise EmptyInput("no data rows in input")
     return groups
@@ -242,13 +254,24 @@ def _format_rows(order: WeakOrder, method: str, output_format: str) -> str:
         ) from None
     except ValueError as exc:  # list-index reads an integer off each id
         raise InputError(f"method {method!r}: {exc}") from None
-    # Rows go by position, then id.  Alternatives are bucketed by position,
-    # so only the distinct positions are sorted as fractions.
+    # Rows go by position, then id.  Tier mates share one position object,
+    # so the bucket is looked up only when the object changes: once per
+    # tier for the operators built on ``_by_tier``, which list the ids tier
+    # by tier.
     buckets: dict[Fraction, list[AltId]] = {}
-    for tier in order.tiers:
-        for alt in tier:
-            buckets.setdefault(positions[alt], []).append(alt)
-    ranked = [(position, sorted(buckets[position], key=label_key)) for position in sorted(buckets)]
+    last: Fraction | None = None
+    bucket: list[AltId] = []
+    for alt, position in positions.items():
+        if position is not last:
+            bucket = buckets.setdefault(position, [])
+            last = position
+        bucket.append(alt)
+    # Only the distinct positions are sorted as fractions, and only a bucket
+    # of two or more ids is sorted by label.
+    ranked = [
+        (position, sorted(alts, key=label_key) if len(alts) > 1 else alts)
+        for position, alts in sorted(buckets.items(), key=itemgetter(0))
+    ]
     try:
         return _render(operator.name, ranked, output_format)
     except ValueError:  # Python prints no integer longer than its limit

@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rankops import OPERATOR_NAMES, WeakOrder, dense, from_tiers, label_key
+from rankops import OPERATOR_NAMES, WeakOrder, cli, dense, from_tiers, label_key
 from rankops.cli import (
     EXIT_PIPE_CLOSED,
     DuplicateId,
@@ -380,3 +380,84 @@ def test_one_fraction_per_tier():
     assert coerced["x"] is half
     assert (coerced["y"], coerced["z"]) == (Fraction(2), Fraction(3, 4))
     assert type(coerced["y"]) is Fraction
+
+
+# ----- each score text parsed once, each tier bucketed once -------------------
+
+
+def test_each_score_text_is_parsed_once(monkeypatch):
+    text = bench_inputs.ties_csv(1)
+    spellings = {line.split(",")[1].strip() for line in text.splitlines()}
+    parsed: list[str] = []
+    monkeypatch.setattr(cli, "parse_exact", lambda raw: parsed.append(raw) or parse_exact(raw))
+    cli._parse_scores(text, has_header=False)
+    assert sorted(parsed) == sorted(spellings)
+    assert len(parsed) <= 3 * bench_inputs.TIES_VALUES
+
+
+@pytest.mark.parametrize("method", ["dense", "fractional"])
+def test_positions_are_bucketed_once_per_tier(method, monkeypatch):
+    text = bench_inputs.ties_csv(1)
+    groups = cli._parse_scores(text, has_header=False)
+    order = cli._order_from_scores(groups, parse_exact(bench_inputs.TIES_EPSILON))
+    tiers = len(order.tiers)
+    fraction_hash = Fraction.__hash__
+    hashed = 0
+
+    def counted(self):
+        nonlocal hashed
+        hashed += 1
+        return fraction_hash(self)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Fraction, "__hash__", counted)
+        out = cli._format_rows(order, method, "csv")
+    assert 0 < hashed <= tiers
+    assert out == rank_payload(text, method=method, tie_epsilon=bench_inputs.TIES_EPSILON)
+
+
+@pytest.mark.parametrize(
+    "score, message",
+    [
+        ("x", "line 2, column 2: not an exact decimal: 'x'"),
+        ("1" * 4301, "line 2, column 2: score has more digits than Python prints (4300): '" + "1" * 4301 + "'"),
+    ],
+    ids=["not-a-number", "too-many-digits"],
+)
+def test_a_refused_score_text_is_reported_at_its_first_row(score, message):
+    with pytest.raises(ParseError) as refused:
+        rank_payload(f"a,1\nb,{score}\nc,1\nd,{score}\n", method="dense")
+    assert str(refused.value) == message
+
+
+def test_a_duplicate_id_is_caught_on_a_row_whose_score_text_was_parsed():
+    with pytest.raises(DuplicateId) as duplicate:
+        rank_payload("a,1\nb,1\nc,2\nb,1\n", method="dense")
+    assert str(duplicate.value) == "line 4: duplicate id 'b'"
+
+
+def test_interleaved_spellings_of_one_score_form_one_tier():
+    text = "e,0.5\nb, 0.5 \nd,1/2\nz,2\na,5e-1\nc,0.50\ng,1/2\nf,0.5\n"
+    assert rank_payload(text, method="dense") == (
+        "id,position\nz,1\na,2\nb,2\nc,2\nd,2\ne,2\nf,2\ng,2\n"
+    )
+    assert list(cli._parse_scores(text, has_header=False).values()) == [
+        ["e", "b", "d", "a", "c", "g", "f"],
+        ["z"],
+    ]
+
+
+@pytest.mark.parametrize(
+    "text, method, expected",
+    [
+        # Tier {a} sits at 1/1 and tier {b, c} at 2/2: one bucket.
+        ("a,2\nb,1\nc,1\n", "quotient", "id,position\na,1\nb,1\nc,1\n"),
+        # Every tier lands at 0 * depth + 1.
+        ("a,3\nb,2\nc,2\nd,1\n", "affine:a=0/1,b=1/1", "id,position\na,1\nb,1\nc,1\nd,1\n"),
+        # Tier mates x1 and x2 read distinct positions off their labels.
+        ("x3,2\nx1,1\nx2,1\n", "list-index", "id,position\nx1,1\nx2,2\nx3,3\n"),
+    ],
+    ids=["quotient-merges-tiers", "affine-one-bucket", "list-index-splits-a-tier"],
+)
+def test_buckets_follow_position_values_not_tiers(text, method, expected):
+    assert rank_payload(text, method=method) == expected
