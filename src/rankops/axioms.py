@@ -15,9 +15,10 @@ over all weak orders on ground sets x1..xn up to a configurable size:
                       (both tiers surviving) moves nobody else
 * monotonicity      - a is weakly preferred to b iff a's position <= b's
 
-Each check returns a report carrying a pass/fail verdict, the number of
+``check(op, Axiom.DUPLICATION, n)`` checks one property for one operator
+and returns a report carrying a pass/fail verdict, the number of
 quantifier instances examined, and, on failure, a minimal witness that can
-be replayed through the public operator interface.  Checkers scan the
+be replayed through the public operator interface.  A check scans the
 universe in one fixed, documented enumeration order, so two runs always
 produce identical reports and the witness is always the first violation
 encountered.
@@ -55,7 +56,6 @@ duplication is automatically neutral).
 from __future__ import annotations
 
 import itertools
-from contextvars import ContextVar
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -85,13 +85,7 @@ __all__ = [
     "Implication",
     "IMPLICATIONS",
     "engine_ground",
-    "check_equality",
-    "check_neutrality",
-    "check_sequentiality",
-    "check_truncation",
-    "check_duplication",
-    "check_ud_independency",
-    "check_monotonicity",
+    "check",
     "run_axiom_reports",
     "replay_witness",
     "build_verification_document",
@@ -236,6 +230,8 @@ class _Universe:
     label, and the position table of the operator checked last."""
 
     def __init__(self, max_n: int) -> None:
+        if max_n < 2:
+            raise ValueError(f"max_n must be at least 2, got {max_n}")
         self.max_n = max_n
         ground = engine_ground(max_n)
         self.slot = {label: index for index, label in enumerate(ground)}
@@ -255,11 +251,6 @@ class _Universe:
         if self._positions is None or self._positions.op is not op:
             self._positions = _Positions(op, self.slot, self.clone, self.alternatives)
         return self._positions
-
-
-# The universe the cells of one ``run_axiom_reports`` call share; the
-# checkers keep their ``(op, max_n)`` signature and find it here.
-_RUN: ContextVar[_Universe | None] = ContextVar("_RUN", default=None)
 
 
 def _fresh_clone(ground: frozenset[AltId]) -> str:
@@ -286,7 +277,7 @@ def _fresh_clone(ground: frozenset[AltId]) -> str:
 # first violating comparison as (transformed, subject, other, before,
 # after, detail), where ``transformed`` is the order compared against, or
 # None when the case needs only the base order, and ``before`` and
-# ``after`` are ``Fraction``s.  The checkers, their case counts and
+# ``after`` are ``Fraction``s.  The checks, their case counts and
 # ``replay_witness`` are all views of these generators.
 
 Violation = tuple[WeakOrder | None, AltId, AltId | None, Fraction, Fraction, str]
@@ -467,20 +458,12 @@ _NEEDS_TIES = frozenset({Axiom.DUPLICATION, Axiom.UD_INDEPENDENCY})
 # ----- checkers -------------------------------------------------------------
 
 
-def _check(op: PositionOperator, axiom: Axiom, max_n: int) -> AxiomReport:
-    """Run one axiom's definition over every order on x1..xn, n = 1..max_n,
-    and stop at the first violating case.
-
-    Inside ``run_axiom_reports`` the cells share its universe; a cell
-    checked on its own enumerates a universe of its own.
-    """
-    if max_n < 2:
-        raise ValueError(f"max_n must be at least 2, got {max_n}")
+def _check(op: PositionOperator, axiom: Axiom, universe: _Universe) -> AxiomReport:
+    """Run one axiom's definition over every order of ``universe`` and stop
+    at the first violating case."""
+    max_n = universe.max_n
     if axiom in _NEEDS_TIES and op.domain is Domain.LINEAR_ONLY:
         return AxiomReport(op.name, axiom, max_n, Verdict.NOT_APPLICABLE, 0, None)
-    universe = _RUN.get()
-    if universe is None or universe.max_n != max_n:
-        universe = _Universe(max_n)
     positions = universe.positions(op)
     # Sequentiality speaks of linear orders only; every other axiom ranges
     # over the operator's whole domain.
@@ -498,81 +481,38 @@ def _check(op: PositionOperator, axiom: Axiom, max_n: int) -> AxiomReport:
     return AxiomReport(op.name, axiom, max_n, Verdict.PASS, cases, None)
 
 
-def check_equality(op: PositionOperator, max_n: int) -> AxiomReport:
-    """Tied alternatives must share a position.
+def check(op: PositionOperator, axiom: Axiom, max_n: int) -> AxiomReport:
+    """Check one axiom for ``op`` over every weak order on x1..xn,
+    n = 1..max_n, in a universe of its own.
 
-    One case per (order, unordered indifferent pair).  Linear-only
-    operators are checked over linear orders, where the condition is
-    vacuous.
+    What one counted case is, per axiom:
+
+    * equality: an (order, unordered tied pair).  Linear-only operators
+      are checked over linear orders, where the condition is vacuous.
+    * neutrality: an (order, adjacent transposition) pair.
+    * sequentiality: a linear order; linear orders sit inside every
+      operator's domain.
+    * truncation: an order with at least two tiers; one-tier orders have
+      nothing below to delete.
+    * duplication: an (order, pattern alternative) pair; the clone must
+      also land exactly on its pattern's position.
+    * ud-independency: an (order, mover, target tier) triple, where the
+      mover leaves a non-empty tier behind and the target is a different
+      existing tier; upward and downward moves both count.  Legal moves
+      need a tie, so they first appear at three alternatives.
+    * monotonicity: an (order, ordered pair of distinct alternatives);
+      both directions of the equivalence are enforced.
+
+    Cloning and vertical moves always create ties, so duplication and
+    ud-independency are not applicable to a linear-only operator.
     """
-    return _check(op, Axiom.EQUALITY, max_n)
+    return _check(op, axiom, _Universe(max_n))
 
 
-def check_neutrality(op: PositionOperator, max_n: int) -> AxiomReport:
-    """Positions must follow every permutation of the alternatives.
-
-    One case per (order, adjacent transposition) pair.
-    """
-    return _check(op, Axiom.NEUTRALITY, max_n)
-
-
-def check_sequentiality(op: PositionOperator, max_n: int) -> AxiomReport:
-    """On every linear order the operator must produce exactly 1..n.
-
-    One case per linear order; linear orders sit inside every operator's
-    domain.
-    """
-    return _check(op, Axiom.SEQUENTIALITY, max_n)
-
-
-def check_truncation(op: PositionOperator, max_n: int) -> AxiomReport:
-    """Deleting the bottom tier must leave surviving positions alone.
-
-    One case per order with at least two tiers; one-tier orders have
-    nothing below to delete and are skipped.
-    """
-    return _check(op, Axiom.TRUNCATION, max_n)
-
-
-def check_duplication(op: PositionOperator, max_n: int) -> AxiomReport:
-    """Cloning an alternative into its own tier must move nobody.
-
-    One case per (order, pattern alternative).  The clone must also land
-    exactly on its pattern's position.  A clone always ties with its
-    pattern, so the check does not apply to linear-only operators.
-    """
-    return _check(op, Axiom.DUPLICATION, max_n)
-
-
-def check_ud_independency(op: PositionOperator, max_n: int) -> AxiomReport:
-    """Moving one alternative between existing tiers must move nobody else.
-
-    One case per (order, mover, target tier), where the mover leaves a
-    non-empty tier behind and the target is a different pre-existing tier;
-    upward and downward moves both count.  Legal moves need a tie in the
-    source tier, so they first appear at three alternatives and never
-    apply to linear-only operators.
-    """
-    return _check(op, Axiom.UD_INDEPENDENCY, max_n)
-
-
-def check_monotonicity(op: PositionOperator, max_n: int) -> AxiomReport:
-    """Weak preference must coincide exactly with position order.
-
-    One case per (order, ordered pair of distinct alternatives); both
-    directions of the equivalence are enforced.
-    """
-    return _check(op, Axiom.MONOTONICITY, max_n)
-
-
-CHECKERS: dict[Axiom, Callable[[PositionOperator, int], AxiomReport]] = {
-    Axiom.EQUALITY: check_equality,
-    Axiom.NEUTRALITY: check_neutrality,
-    Axiom.SEQUENTIALITY: check_sequentiality,
-    Axiom.TRUNCATION: check_truncation,
-    Axiom.DUPLICATION: check_duplication,
-    Axiom.UD_INDEPENDENCY: check_ud_independency,
-    Axiom.MONOTONICITY: check_monotonicity,
+# One cell as ``run_axiom_reports`` runs it, ``(op, universe) -> report``:
+# the seam through which a cell can be wrapped, to time it or to doctor it.
+CHECKERS: dict[Axiom, Callable[[PositionOperator, _Universe], AxiomReport]] = {
+    axiom: lambda op, universe, axiom=axiom: _check(op, axiom, universe) for axiom in Axiom
 }
 
 
@@ -764,20 +704,17 @@ EXPECTED_MATRIX: dict[tuple[str, Axiom], ExpectedCell] = _expected_matrix()
 
 
 def run_axiom_reports(max_n: int) -> dict[tuple[str, Axiom], AxiomReport]:
-    """Run all seven checkers for every registered operator.
+    """Check all seven axioms for every registered operator.
 
     The universe is enumerated once for all the cells, and each operator's
     position table serves its seven cells; neither outlives the call.
     """
-    token = _RUN.set(_Universe(max_n))
-    try:
-        return {
-            (name, axiom): CHECKERS[axiom](operator, max_n)
-            for name, operator in REGISTRY.items()
-            for axiom in Axiom
-        }
-    finally:
-        _RUN.reset(token)
+    universe = _Universe(max_n)
+    return {
+        (name, axiom): CHECKERS[axiom](operator, universe)
+        for name, operator in REGISTRY.items()
+        for axiom in Axiom
+    }
 
 
 @dataclass(frozen=True)

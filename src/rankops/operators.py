@@ -346,10 +346,17 @@ def to_fraction(value: Rational | Decimal) -> Fraction:
     length.  A numerator or denominator with more digits than Python prints
     (``sys.get_int_max_str_digits()``, or its default when that limit is
     off) raises ``ValueError``; a decimal that large is refused before its
-    power of ten is built.
+    power of ten is built.  Only an ``int``, ``Fraction``, ``Decimal`` or
+    ``str`` is read: anything else raises ``TypeError``, a ``float`` (whose
+    binary value is not the decimal it prints as) and a ``bool`` included.
+    A non-finite ``Decimal`` raises ``ValueError``.
     """
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction, Decimal, str)):
+        raise TypeError(f"not an exact number: {value!r}")
     if isinstance(value, str):
         value = parse_exact(value)
+    if isinstance(value, Decimal) and not value.is_finite():
+        raise ValueError(f"not a finite number: {value}")
     limit = _digit_limit()
     # A non-zero decimal's leading digit lies |adjusted| places from the
     # point, so beyond the limit its numerator or denominator is too long.
@@ -435,7 +442,9 @@ def get_operator(name: str) -> PositionOperator:
                 raise UnknownOperator(f"bad affine parameter list in {name!r}")
             try:
                 params[key] = to_fraction(raw.strip())
-            except (ValueError, ZeroDivisionError) as exc:
+            except ZeroDivisionError:
+                raise UnknownOperator(f"bad affine coefficient in {name!r}: zero denominator") from None
+            except ValueError as exc:
                 raise UnknownOperator(f"bad affine coefficient in {name!r}: {exc}") from None
         if set(params) != {"a", "b"}:
             raise UnknownOperator(f"affine form needs both a= and b=: {name!r}")

@@ -22,10 +22,7 @@ from rankops import (
     REGISTRY,
     Verdict,
     build_verification_document,
-    check_duplication,
-    check_sequentiality,
-    check_truncation,
-    check_ud_independency,
+    check,
     dense,
     dense_via_chain,
     enumerate_weak_orders,
@@ -67,10 +64,10 @@ def dense_at_five():
     """The four heavyweight exhaustive checks on the dense rank, run once."""
     op = REGISTRY["dense"]
     return {
-        Axiom.SEQUENTIALITY: check_sequentiality(op, 5),
-        Axiom.TRUNCATION: check_truncation(op, 5),
-        Axiom.DUPLICATION: check_duplication(op, 5),
-        Axiom.UD_INDEPENDENCY: check_ud_independency(op, 5),
+        Axiom.SEQUENTIALITY: check(op, Axiom.SEQUENTIALITY, 5),
+        Axiom.TRUNCATION: check(op, Axiom.TRUNCATION, 5),
+        Axiom.DUPLICATION: check(op, Axiom.DUPLICATION, 5),
+        Axiom.UD_INDEPENDENCY: check(op, Axiom.UD_INDEPENDENCY, 5),
     }
 
 
@@ -115,8 +112,8 @@ def test_criterion_02_dense_on_ten_alternative_example():
 def test_criterion_03_sequentiality_plus_duplication_single_out_dense(dense_at_five):
     seq = dense_at_five[Axiom.SEQUENTIALITY]
     dup = dense_at_five[Axiom.DUPLICATION]
-    quotient_dup = check_duplication(REGISTRY["quotient"], 3)
-    affine_seq = check_sequentiality(REGISTRY["affine"], 3)
+    quotient_dup = check(REGISTRY["quotient"], Axiom.DUPLICATION, 3)
+    affine_seq = check(REGISTRY["affine"], Axiom.SEQUENTIALITY, 3)
     ok = (
         seq.verdict is Verdict.PASS
         and dup.verdict is Verdict.PASS
@@ -141,11 +138,11 @@ def test_criterion_04_sequentiality_truncation_ud_single_out_dense(dense_at_five
     seq = dense_at_five[Axiom.SEQUENTIALITY]
     trunc = dense_at_five[Axiom.TRUNCATION]
     ud = dense_at_five[Axiom.UD_INDEPENDENCY]
-    quotient_ud = check_ud_independency(REGISTRY["quotient"], 3)
-    plus_n_trunc = check_truncation(REGISTRY["plus-n"], 3)
-    list_index_seq = check_sequentiality(REGISTRY["list-index"], 3)
-    contraction_dup = check_duplication(REGISTRY["dense-over-tiercount"], 4)
-    contraction_trunc = check_truncation(REGISTRY["dense-over-tiercount"], 3)
+    quotient_ud = check(REGISTRY["quotient"], Axiom.UD_INDEPENDENCY, 3)
+    plus_n_trunc = check(REGISTRY["plus-n"], Axiom.TRUNCATION, 3)
+    list_index_seq = check(REGISTRY["list-index"], Axiom.SEQUENTIALITY, 3)
+    contraction_dup = check(REGISTRY["dense-over-tiercount"], Axiom.DUPLICATION, 4)
+    contraction_trunc = check(REGISTRY["dense-over-tiercount"], Axiom.TRUNCATION, 3)
     checks = [
         seq.verdict is Verdict.PASS,
         trunc.verdict is Verdict.PASS,

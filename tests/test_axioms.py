@@ -20,13 +20,7 @@ from rankops import (
     Verdict,
     Witness,
     build_verification_document,
-    check_duplication,
-    check_equality,
-    check_monotonicity,
-    check_neutrality,
-    check_sequentiality,
-    check_truncation,
-    check_ud_independency,
+    check,
     dense,
     engine_ground,
     enumerate_weak_orders,
@@ -36,7 +30,6 @@ from rankops import (
     run_axiom_reports,
     standard,
 )
-from rankops.axioms import CHECKERS
 
 AXIOMS = tuple(Axiom)
 LETTER = {"P": Verdict.PASS, "F": Verdict.FAIL, "N": Verdict.NOT_APPLICABLE}
@@ -82,9 +75,9 @@ def document4():
 
 
 def test_equality_verdicts():
-    assert check_equality(REGISTRY["dense"], 4).verdict is Verdict.PASS
-    assert check_equality(REGISTRY["fractional"], 4).verdict is Verdict.PASS
-    report = check_equality(REGISTRY["list-index"], 3)
+    assert check(REGISTRY["dense"], Axiom.EQUALITY, 4).verdict is Verdict.PASS
+    assert check(REGISTRY["fractional"], Axiom.EQUALITY, 4).verdict is Verdict.PASS
+    report = check(REGISTRY["list-index"], Axiom.EQUALITY, 3)
     assert report.verdict is Verdict.FAIL
     witness = report.witness
     assert witness.base == from_tiers([{"x1", "x2"}])
@@ -92,35 +85,35 @@ def test_equality_verdicts():
 
 
 def test_neutrality_verdicts():
-    assert check_neutrality(REGISTRY["dense"], 4).verdict is Verdict.PASS
-    assert check_neutrality(REGISTRY["standard"], 4).verdict is Verdict.PASS
-    assert check_neutrality(REGISTRY["list-index"], 3).verdict is Verdict.FAIL
+    assert check(REGISTRY["dense"], Axiom.NEUTRALITY, 4).verdict is Verdict.PASS
+    assert check(REGISTRY["standard"], Axiom.NEUTRALITY, 4).verdict is Verdict.PASS
+    assert check(REGISTRY["list-index"], Axiom.NEUTRALITY, 3).verdict is Verdict.FAIL
 
 
 def test_sequentiality_verdicts():
-    assert check_sequentiality(REGISTRY["quotient"], 4).verdict is Verdict.PASS
-    affine_report = check_sequentiality(REGISTRY["affine"], 3)
+    assert check(REGISTRY["quotient"], Axiom.SEQUENTIALITY, 4).verdict is Verdict.PASS
+    affine_report = check(REGISTRY["affine"], Axiom.SEQUENTIALITY, 3)
     assert affine_report.verdict is Verdict.FAIL
     assert affine_report.witness.base.is_linear
-    assert check_sequentiality(REGISTRY["list-index"], 3).verdict is Verdict.FAIL
+    assert check(REGISTRY["list-index"], Axiom.SEQUENTIALITY, 3).verdict is Verdict.FAIL
 
 
 def test_truncation_verdicts():
-    assert check_truncation(REGISTRY["dense"], 5).verdict is Verdict.PASS
-    report = check_truncation(REGISTRY["plus-n"], 3)
+    assert check(REGISTRY["dense"], Axiom.TRUNCATION, 5).verdict is Verdict.PASS
+    report = check(REGISTRY["plus-n"], Axiom.TRUNCATION, 3)
     assert report.verdict is Verdict.FAIL
     # first counterexample: one alternative over a tied pair; dropping the
     # tied pair makes the order linear and removes the shift
     assert report.witness.base == from_tiers([{"x1"}, {"x2", "x3"}])
     assert report.witness.before == 4
     assert report.witness.after == 1
-    assert check_truncation(REGISTRY["dense-over-tiercount"], 3).verdict is Verdict.FAIL
+    assert check(REGISTRY["dense-over-tiercount"], Axiom.TRUNCATION, 3).verdict is Verdict.FAIL
 
 
 def test_duplication_verdicts():
-    assert check_duplication(REGISTRY["dense"], 5).verdict is Verdict.PASS
-    assert check_duplication(REGISTRY["quotient"], 3).verdict is Verdict.FAIL
-    report = check_duplication(REGISTRY["standard"], 3)
+    assert check(REGISTRY["dense"], Axiom.DUPLICATION, 5).verdict is Verdict.PASS
+    assert check(REGISTRY["quotient"], Axiom.DUPLICATION, 3).verdict is Verdict.FAIL
+    report = check(REGISTRY["standard"], Axiom.DUPLICATION, 3)
     assert report.verdict is Verdict.FAIL
     # cloning into the top tier of a two-element linear order already fails
     assert report.witness.base == from_tiers([{"x1"}, {"x2"}])
@@ -129,43 +122,46 @@ def test_duplication_verdicts():
 
 
 def test_ud_independency_verdicts():
-    assert check_ud_independency(REGISTRY["dense"], 5).verdict is Verdict.PASS
-    assert check_ud_independency(REGISTRY["quotient"], 3).verdict is Verdict.FAIL
-    report = check_ud_independency(REGISTRY["standard"], 4)
+    assert check(REGISTRY["dense"], Axiom.UD_INDEPENDENCY, 5).verdict is Verdict.PASS
+    assert check(REGISTRY["quotient"], Axiom.UD_INDEPENDENCY, 3).verdict is Verdict.FAIL
+    report = check(REGISTRY["standard"], Axiom.UD_INDEPENDENCY, 4)
     assert report.verdict is Verdict.FAIL
     assert report.witness.base == from_tiers([{"x1"}, {"x2", "x3"}])
     assert (report.witness.before, report.witness.after) == (F(2), F(3))
 
 
 def test_monotonicity_verdicts():
-    assert check_monotonicity(REGISTRY["dense"], 4).verdict is Verdict.PASS
-    assert check_monotonicity(REGISTRY["fractional"], 4).verdict is Verdict.PASS
-    assert check_monotonicity(REGISTRY["list-index"], 3).verdict is Verdict.FAIL
+    assert check(REGISTRY["dense"], Axiom.MONOTONICITY, 4).verdict is Verdict.PASS
+    assert check(REGISTRY["fractional"], Axiom.MONOTONICITY, 4).verdict is Verdict.PASS
+    assert check(REGISTRY["list-index"], Axiom.MONOTONICITY, 3).verdict is Verdict.FAIL
 
 
 def test_linear_only_operator_axioms():
     """Cloning and vertical moves both force ties, so they never apply to
     the linear-only operator; everything else holds on its own domain."""
     sequential_op = REGISTRY["sequential"]
-    for checker, axiom in (
-        (check_duplication, Axiom.DUPLICATION),
-        (check_ud_independency, Axiom.UD_INDEPENDENCY),
-    ):
-        report = checker(sequential_op, 4)
+    for axiom in (Axiom.DUPLICATION, Axiom.UD_INDEPENDENCY):
+        report = check(sequential_op, axiom, 4)
         assert report.verdict is Verdict.NOT_APPLICABLE
         assert report.cases_checked == 0
         assert report.witness is None
-    for checker in (check_equality, check_neutrality, check_truncation, check_monotonicity):
-        assert checker(sequential_op, 4).verdict is Verdict.PASS
+    for axiom in (Axiom.EQUALITY, Axiom.NEUTRALITY, Axiom.TRUNCATION, Axiom.MONOTONICITY):
+        assert check(sequential_op, axiom, 4).verdict is Verdict.PASS
 
 
 def test_checkers_reject_tiny_bounds():
     with pytest.raises(ValueError):
-        check_equality(REGISTRY["dense"], 1)
+        check(REGISTRY["dense"], Axiom.EQUALITY, 1)
     # no legal vertical move exists below three alternatives
-    report = check_ud_independency(REGISTRY["standard"], 2)
+    report = check(REGISTRY["standard"], Axiom.UD_INDEPENDENCY, 2)
     assert report.verdict is Verdict.PASS
     assert report.cases_checked == 0
+
+
+@pytest.mark.parametrize("run", [run_axiom_reports, build_verification_document])
+def test_whole_runs_reject_tiny_bounds(run):
+    with pytest.raises(ValueError, match=r"^max_n must be at least 2, got 1$"):
+        run(1)
 
 
 # ----- quantifier bookkeeping ---------------------------------------------------
@@ -179,30 +175,30 @@ def _orders_up_to(max_n: int):
 def test_case_counts_match_analytic_values():
     counts = {n: sum(1 for _ in enumerate_weak_orders(engine_ground(n))) for n in range(1, 6)}
 
-    seq = check_sequentiality(REGISTRY["dense"], 5)
+    seq = check(REGISTRY["dense"], Axiom.SEQUENTIALITY, 5)
     assert seq.cases_checked == sum(math.factorial(n) for n in range(1, 6)) == 153
 
-    dup = check_duplication(REGISTRY["dense"], 5)
+    dup = check(REGISTRY["dense"], Axiom.DUPLICATION, 5)
     assert dup.cases_checked == sum(n * counts[n] for n in range(1, 6)) == 3051
 
-    trunc = check_truncation(REGISTRY["dense"], 5)
+    trunc = check(REGISTRY["dense"], Axiom.TRUNCATION, 5)
     # exactly one single-tier order exists per ground size
     assert trunc.cases_checked == sum(counts[n] - 1 for n in range(1, 6)) == 628
 
     # one case per adjacent transposition of x1..xn
-    neutral = check_neutrality(REGISTRY["dense"], 4)
+    neutral = check(REGISTRY["dense"], Axiom.NEUTRALITY, 4)
     assert neutral.cases_checked == sum(counts[n] * (n - 1) for n in range(1, 5)) == 254
 
-    mono = check_monotonicity(REGISTRY["dense"], 4)
+    mono = check(REGISTRY["dense"], Axiom.MONOTONICITY, 4)
     assert mono.cases_checked == sum(counts[n] * n * (n - 1) for n in range(1, 5)) == 984
 
-    equality = check_equality(REGISTRY["dense"], 4)
+    equality = check(REGISTRY["dense"], Axiom.EQUALITY, 4)
     expected_pairs = sum(
         math.comb(len(tier), 2) for order in _orders_up_to(4) for tier in order.tiers
     )
     assert equality.cases_checked == expected_pairs
 
-    ud = check_ud_independency(REGISTRY["dense"], 5)
+    ud = check(REGISTRY["dense"], Axiom.UD_INDEPENDENCY, 5)
     expected_moves = sum(
         len(tier) * (order.num_tiers - 1)
         for order in _orders_up_to(5)
@@ -215,10 +211,10 @@ def test_case_counts_match_analytic_values():
 def test_neutrality_adjacent_transpositions_at_five():
     """The n - 1 adjacent transpositions generate every relabelling, so
     checking them on every order proves neutrality at each size."""
-    report = check_neutrality(REGISTRY["dense"], 5)
+    report = check(REGISTRY["dense"], Axiom.NEUTRALITY, 5)
     assert report.verdict is Verdict.PASS
     assert report.cases_checked == sum(ordered_bell(n) * (n - 1) for n in range(1, 6)) == 2418
-    linear = check_neutrality(REGISTRY["sequential"], 5)
+    linear = check(REGISTRY["sequential"], Axiom.NEUTRALITY, 5)
     assert linear.cases_checked == sum(math.factorial(n) * (n - 1) for n in range(1, 6)) == 566
 
 
@@ -306,7 +302,7 @@ def _has_clone(order) -> bool:
 
 def test_cells_checked_alone_match_the_shared_run(reports4):
     for (name, axiom), report in reports4.items():
-        assert CHECKERS[axiom](REGISTRY[name], 4) == report, (name, axiom)
+        assert check(REGISTRY[name], axiom, 4) == report, (name, axiom)
 
 
 def test_clone_orders_are_always_evaluated():
@@ -320,7 +316,7 @@ def test_clone_orders_are_always_evaluated():
         )
 
     op = PositionOperator("clone-shifted", Domain.ALL_WEAK_ORDERS, clone_shifted)
-    report = CHECKERS[Axiom.DUPLICATION](op, 4)
+    report = check(op, Axiom.DUPLICATION, 4)
     assert report.verdict is Verdict.FAIL
     assert report.witness.subject == "+c0"
     assert (report.witness.before, report.witness.after) == (F(1), F(2))
@@ -342,7 +338,7 @@ def test_equality_type_cells_compare_no_fractions(monkeypatch, axiom):
             return _original(self, other)
 
         monkeypatch.setattr(F, name, counted)
-    report = CHECKERS[axiom](REGISTRY["dense"], 4)
+    report = check(REGISTRY["dense"], axiom, 4)
     assert report.verdict is Verdict.PASS
     assert calls == Counter()
 
@@ -422,10 +418,10 @@ def test_implication_instances_hold(document4):
 def test_implication_violation_is_detected(monkeypatch):
     from rankops import axioms as axioms_module
 
-    check = axioms_module.CHECKERS[Axiom.EQUALITY]
+    cell = axioms_module.CHECKERS[Axiom.EQUALITY]
 
-    def doctored(op, max_n):
-        report = check(op, max_n)
+    def doctored(op, universe):
+        report = cell(op, universe)
         if op.name == "dense":
             report = dataclasses.replace(report, verdict=Verdict.FAIL)
         return report

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from decimal import Decimal
 from pathlib import Path
 from unittest import mock
 
@@ -83,6 +84,28 @@ def test_to_fraction_bounds_digits_by_the_interpreters_limit():
         sys.set_int_max_str_digits(limit)
 
 
+@pytest.mark.parametrize("value", [0.1, True, None], ids=repr)
+def test_to_fraction_refuses_inexact_types(value):
+    with pytest.raises(TypeError):
+        to_fraction(value)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: make_affine_operator(0.1, 0), lambda: PositionAssignment({"a": True})],
+    ids=["make_affine_operator-float", "PositionAssignment-bool"],
+)
+def test_inexact_numbers_are_refused_where_they_enter(build):
+    with pytest.raises(TypeError):
+        build()
+
+
+@pytest.mark.parametrize("text", ["Infinity", "-Infinity", "NaN", "sNaN"])
+def test_to_fraction_refuses_non_finite_decimals(text):
+    with pytest.raises(ValueError):
+        to_fraction(Decimal(text))
+
+
 # ----- affine numbers that Python cannot print --------------------------------
 
 TWELVE_ROWS = "".join(f"r{i},{i}\n" for i in range(12))
@@ -107,6 +130,12 @@ def test_printable_affine_numbers_still_rank():
     result = _run(["rank", "--method", "affine:a=1e4299,b=0"], "a,1\n")
     assert (result.returncode, result.stderr) == (0, "")
     assert result.stdout == f"id,position\na,1{'0' * 4299}\n"
+
+
+def test_affine_zero_denominator_is_named():
+    result = _run(["rank", "--method", "affine:a=1/0,b=0"], "a,1\nb,2\n")
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == "error: bad affine coefficient in 'affine:a=1/0,b=0': zero denominator\n"
 
 
 # ----- argparse errors are one line ------------------------------------------

@@ -1,4 +1,5 @@
-"""Every demo script runs against the package and prints something."""
+"""Every demo script runs against the package, warnings as errors, and
+prints something."""
 
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ def test_all_four_demos_are_found():
 def test_demo_runs(demo):
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
     result = subprocess.run(
-        [sys.executable, str(demo)], capture_output=True, text=True, env=env, cwd=REPO
+        [sys.executable, "-W", "error", str(demo)], capture_output=True, text=True, env=env, cwd=REPO
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip()

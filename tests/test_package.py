@@ -18,16 +18,14 @@ PUBLIC_NAMES = {
     "OPERATOR_NAMES",
     # axioms
     "Axiom", "Verdict", "Witness", "AxiomReport", "ExpectedCell", "EXPECTED_MATRIX",
-    "Implication", "IMPLICATIONS", "engine_ground", "check_equality", "check_neutrality",
-    "check_sequentiality", "check_truncation", "check_duplication",
-    "check_ud_independency", "check_monotonicity", "run_axiom_reports", "replay_witness",
-    "build_verification_document",
+    "Implication", "IMPLICATIONS", "engine_ground", "check", "run_axiom_reports",
+    "replay_witness", "build_verification_document",
     "__version__",
 }
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC_NAMES) == 67
+    assert len(PUBLIC_NAMES) == 61
     assert len(rankops.__all__) == len(set(rankops.__all__))
     assert set(rankops.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
