@@ -33,6 +33,22 @@ built only when the table lacks it, or for a witness.  Orders holding a
 clone are always evaluated, never tabled.  ``replay_witness`` evaluates
 through a table of its own, never the run's.
 
+Nine registered operators (``dense``, ``standard``, ``modified``,
+``fractional``, ``sequential``, ``quotient``, ``plus-n``,
+``dense-over-tiercount`` and every affine operator) are marked as tier
+rules: each gives a tier's members one value read from the order's tier
+sizes alone.  For these, every cell but neutrality runs its definition on
+the first order of each tier-size shape only, and counts that order's
+cases once more for each later order of the shape.  This is sound because
+a relabelling of x1..xn that fixes the clone label carries every case of
+an order, with its derived orders, onto a case of the relabelled order
+with the same outcome, so same-shape orders hold or fail alike and have
+equally many cases; and the scan meets each shape's first order first, so
+it reports the first violation a full scan would.  Neutrality is the claim
+that labels do not matter, so it scans every order, and so does every
+unmarked operator: ``list-index``, ``dense-chain`` and any operator built
+with the public constructor.
+
 Positions are compared as per-operator ids: each distinct value an
 operator returns gets a small integer when it is first seen, so two ids
 are equal exactly when the two rationals are.  A witness reads the
@@ -460,7 +476,19 @@ _NEEDS_TIES = frozenset({Axiom.DUPLICATION, Axiom.UD_INDEPENDENCY})
 
 def _check(op: PositionOperator, axiom: Axiom, universe: _Universe) -> AxiomReport:
     """Run one axiom's definition over every order of ``universe`` and stop
-    at the first violating case."""
+    at the first violating case.
+
+    For an operator marked as a tier rule, and any axiom but neutrality,
+    the definition runs on the first order of each tier-size shape alone;
+    every later order of that shape adds the first one's case count.  Such
+    an operator gives a relabelled order the relabelled positions, and
+    every derived order, the clone's included, relabels along with its
+    base, so an order's cases hold or fail exactly as its shape's first
+    order's do, and are as many.  That first order comes first in the
+    scan, so the first violation, its count and its witness are the ones a
+    full scan finds.  Neutrality is that label-independence itself, so it
+    scans every order, as does every unmarked operator.
+    """
     max_n = universe.max_n
     if axiom in _NEEDS_TIES and op.domain is Domain.LINEAR_ONLY:
         return AxiomReport(op.name, axiom, max_n, Verdict.NOT_APPLICABLE, 0, None)
@@ -469,15 +497,28 @@ def _check(op: PositionOperator, axiom: Axiom, universe: _Universe) -> AxiomRepo
     # over the operator's whole domain.
     linear = axiom is Axiom.SEQUENTIALITY or op.domain is Domain.LINEAR_ONLY
     cases_of = _DEFINITIONS[axiom]
+    # The case count of each tier-size shape seen, when one order per
+    # shape suffices.
+    by_shape: dict[tuple[int, ...], int] | None = (
+        {} if op._tier_rule and axiom is not Axiom.NEUTRALITY else None
+    )
     cases = 0
     for order, code in universe.orders:
         if linear and not order.is_linear:
             continue
+        if by_shape is not None:
+            shape = tuple(map(len, order.tiers))
+            if shape in by_shape:
+                cases += by_shape[shape]
+                continue
+            first = cases
         for violation in cases_of(positions, order, code, positions.at(code, lambda: order)):
             cases += 1
             if violation is not None:
                 witness = Witness(order, *violation)
                 return AxiomReport(op.name, axiom, max_n, Verdict.FAIL, cases, witness)
+        if by_shape is not None:
+            by_shape[shape] = cases - first
     return AxiomReport(op.name, axiom, max_n, Verdict.PASS, cases, None)
 
 

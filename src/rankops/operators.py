@@ -123,6 +123,11 @@ class PositionOperator:
     name: str
     domain: Domain
     fn: Callable[[WeakOrder], PositionAssignment] = field(compare=False)
+    # Set by _tier_rule_operator alone: ``fn`` gives every member of a tier
+    # one value read from the order's tier sizes, never from its labels.
+    # Not an __init__ parameter, so a public construction or a
+    # dataclasses.replace copy is unmarked.
+    _tier_rule: bool = field(default=False, init=False, repr=False, compare=False)
 
     def in_domain(self, order: WeakOrder) -> bool:
         return self.domain is Domain.ALL_WEAK_ORDERS or order.is_linear
@@ -378,6 +383,21 @@ def _digit_limit() -> int:
 # ----- registry -------------------------------------------------------------
 
 
+def _tier_rule_operator(
+    name: str, fn: Callable[[WeakOrder], PositionAssignment], domain: Domain = Domain.ALL_WEAK_ORDERS
+) -> PositionOperator:
+    """An operator whose ``fn`` is a ``_by_tier`` rule of ``(depth, above,
+    size)`` and of nothing but the order's tier sizes, marked as such.
+
+    A relabelling of the order then relabels its positions and changes no
+    value, so :mod:`rankops.axioms` may check one order per tier-size
+    shape outside neutrality.
+    """
+    op = PositionOperator(name=name, domain=domain, fn=fn)
+    object.__setattr__(op, "_tier_rule", True)
+    return op
+
+
 def make_affine_operator(
     a: Rational, b: Rational, name: str | None = None
 ) -> PositionOperator:
@@ -393,30 +413,26 @@ def make_affine_operator(
         name = f"affine:a={a.numerator}/{a.denominator},b={b.numerator}/{b.denominator}"
     # a * depth + b over the common denominator, built as one Fraction.
     an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
-    return PositionOperator(
-        name=name,
-        domain=Domain.ALL_WEAK_ORDERS,
-        fn=lambda order: _by_tier(order, lambda depth, above, size: Fraction(an * bd * depth + bn * ad, ad * bd)),
-    )
+    def rule(depth: int, above: int, size: int) -> Fraction:
+        return Fraction(an * bd * depth + bn * ad, ad * bd)
+
+    return _tier_rule_operator(name, lambda order: _by_tier(order, rule))
 
 
 def _register() -> dict[str, PositionOperator]:
-    def op(name: str, fn: Callable[[WeakOrder], PositionAssignment], domain: Domain = Domain.ALL_WEAK_ORDERS) -> PositionOperator:
-        return PositionOperator(name=name, domain=domain, fn=fn)
-
     entries = [
-        op("dense", dense),
-        op("dense-chain", dense_via_chain),
-        op("standard", standard),
-        op("modified", modified),
-        op("fractional", fractional),
-        op("sequential", sequential, Domain.LINEAR_ONLY),
-        op("quotient", quotient),
+        _tier_rule_operator("dense", dense),
+        PositionOperator("dense-chain", Domain.ALL_WEAK_ORDERS, dense_via_chain),
+        _tier_rule_operator("standard", standard),
+        _tier_rule_operator("modified", modified),
+        _tier_rule_operator("fractional", fractional),
+        _tier_rule_operator("sequential", sequential, Domain.LINEAR_ONLY),
+        _tier_rule_operator("quotient", quotient),
         # Canonical non-identity instance; other coefficients via get_operator.
         make_affine_operator(2, 1, name="affine"),
-        op("plus-n", plus_n),
-        op("list-index", list_index),
-        op("dense-over-tiercount", dense_over_tier_count),
+        _tier_rule_operator("plus-n", plus_n),
+        PositionOperator("list-index", Domain.ALL_WEAK_ORDERS, list_index),
+        _tier_rule_operator("dense-over-tiercount", dense_over_tier_count),
     ]
     return {entry.name: entry for entry in entries}
 

@@ -25,11 +25,13 @@ from rankops import (
     engine_ground,
     enumerate_weak_orders,
     from_tiers,
+    get_operator,
     ordered_bell,
     replay_witness,
     run_axiom_reports,
     standard,
 )
+from rankops.operators import _by_tier, _tier_rule_operator
 
 AXIOMS = tuple(Axiom)
 LETTER = {"P": Verdict.PASS, "F": Verdict.FAIL, "N": Verdict.NOT_APPLICABLE}
@@ -357,6 +359,81 @@ def test_a_run_evaluates_each_order_once_per_operator(monkeypatch):
     assert any(_has_clone(order) for _, order in evaluated)
     repeated = [key for key, count in evaluated.items() if count > 1 and not _has_clone(key[1])]
     assert repeated == []
+
+
+# ----- one order per tier-size shape ------------------------------------------------
+
+TIER_RULES = {
+    "dense",
+    "standard",
+    "modified",
+    "fractional",
+    "sequential",
+    "quotient",
+    "affine",
+    "plus-n",
+    "dense-over-tiercount",
+}
+
+
+def test_only_tier_rule_operators_are_marked():
+    assert {name for name, op in REGISTRY.items() if op._tier_rule} == TIER_RULES
+    assert get_operator("affine:a=3,b=0")._tier_rule
+    dense_op = REGISTRY["dense"]
+    unmarked = [
+        REGISTRY["list-index"],
+        REGISTRY["dense-chain"],
+        PositionOperator(dense_op.name, dense_op.domain, dense_op.fn),
+        dataclasses.replace(dense_op),
+    ]
+    assert not any(op._tier_rule for op in unmarked)
+
+
+def test_shape_reduced_cells_match_full_scans():
+    """A public construction is unmarked, so its copy is scanned in full:
+    every cell must report the same verdict, count and witness."""
+    for name, op in REGISTRY.items():
+        copy = PositionOperator(op.name, op.domain, op.fn)
+        for axiom in Axiom:
+            assert check(op, axiom, 5) == check(copy, axiom, 5), (name, axiom)
+
+
+def test_neutrality_scans_every_order_and_other_cells_one_per_shape(monkeypatch):
+    evaluated = set()
+    call = PositionOperator.__call__
+
+    def recorded(op, order):
+        evaluated.add(order)
+        return call(op, order)
+
+    monkeypatch.setattr(PositionOperator, "__call__", recorded)
+    universe = set(_orders_up_to(4))
+    check(REGISTRY["dense"], Axiom.NEUTRALITY, 4)
+    assert universe <= evaluated
+    evaluated.clear()
+    check(REGISTRY["dense"], Axiom.MONOTONICITY, 4)
+    # one order per composition of n = 1..4 into tier sizes
+    assert len(evaluated) == 1 + 2 + 4 + 8
+    evaluated.clear()
+    check(REGISTRY["dense-chain"], Axiom.MONOTONICITY, 4)
+    assert evaluated == universe
+
+
+def test_a_label_dependent_rule_is_scanned_in_full():
+    """A rule that looks at a label breaks what the mark promises: checked
+    on x1 > x2 > x3 alone it passes sequentiality, so only a full scan finds
+    the linear order with x3 on top."""
+
+    def x3_on_top(order):
+        shift = 1 if "x3" in order.tiers[0] else 0
+        return _by_tier(order, lambda depth, above, size: depth + shift)
+
+    unmarked = PositionOperator("x3-on-top", Domain.ALL_WEAK_ORDERS, x3_on_top)
+    report = check(unmarked, Axiom.SEQUENTIALITY, 3)
+    assert report.verdict is Verdict.FAIL
+    assert report.witness.base.tiers[0] == frozenset({"x3"})
+    marked = _tier_rule_operator("x3-on-top", x3_on_top)
+    assert check(marked, Axiom.SEQUENTIALITY, 3).verdict is Verdict.PASS
 
 
 # ----- matrix and implications ------------------------------------------------------
