@@ -84,12 +84,7 @@ from .orders import (
     label_key,
     weak_order_to_json,
 )
-from .operators import (
-    REGISTRY,
-    Domain,
-    PositionOperator,
-    sequential,
-)
+from .operators import REGISTRY, Domain, PositionOperator
 
 __all__ = [
     "Axiom",
@@ -219,16 +214,12 @@ class _Positions:
         """The id of each alternative's position in ``order``, untabled."""
         ids, values = self.ids, self.values
         result = {}
-        last = None
         for alt, value in self.op(order).items():
-            # Tier mates share one Fraction object; look each object up once.
-            if value is not last:
-                last = value
-                key = (value.numerator, value.denominator)
-                index = ids.get(key)
-                if index is None:
-                    index = ids[key] = len(values)
-                    values.append(value)
+            key = (value.numerator, value.denominator)
+            index = ids.get(key)
+            if index is None:
+                index = ids[key] = len(values)
+                values.append(value)
             result[alt] = index
         return result
 
@@ -279,7 +270,8 @@ def _fresh_clone(ground: frozenset[AltId]) -> str:
 
 # ----- axiom definitions ----------------------------------------------------
 #
-# Each axiom is defined once, as a generator over the cases of one order.
+# Each axiom is defined once, as a generator over the cases of one order,
+# and states which orders it speaks of: it yields nothing for any other.
 # The caller (``_check``, or ``replay_witness``) passes in the order, its
 # code and its position ids ``base``; a definition asks ``positions`` for
 # the ids of each order it derives from the base, by that order's code, and
@@ -288,13 +280,14 @@ def _fresh_clone(ground: frozenset[AltId]) -> str:
 # evaluated every time.  The base order's labels, in label order, are
 # ``positions.alternatives[order.n]``.  Definitions compare ids with
 # ``!=`` only, and read ``positions.values`` only for a witness;
-# sequentiality compares values with 1..n, and monotonicity ranks the ids
-# within each order.  A case yields None when it holds, otherwise its
-# first violating comparison as (transformed, subject, other, before,
-# after, detail), where ``transformed`` is the order compared against, or
-# None when the case needs only the base order, and ``before`` and
-# ``after`` are ``Fraction``s.  The checks, their case counts and
-# ``replay_witness`` are all views of these generators.
+# sequentiality compares values with the order's own tier numbers 1..n,
+# never with another operator, and monotonicity ranks the ids within each
+# order.  A case yields None when it holds, otherwise its first violating
+# comparison as (transformed, subject, other, before, after, detail),
+# where ``transformed`` is the order compared against, or None when the
+# case needs only the base order, and ``before`` and ``after`` are
+# ``Fraction``s.  The checks, their case counts and ``replay_witness`` are
+# all views of these generators.
 
 Violation = tuple[WeakOrder | None, AltId, AltId | None, Fraction, Fraction, str]
 Definition = Callable[[_Positions, WeakOrder, Code, Ids], Iterator[Violation | None]]
@@ -356,12 +349,16 @@ def _neutrality_cases(
 def _sequentiality_cases(
     positions: _Positions, order: WeakOrder, code: Code, base: Ids
 ) -> Iterator[Violation | None]:
-    expected = sequential(order)
+    if not order.is_linear:
+        return
+    values, slot = positions.values, positions.slot
     for alt in positions.alternatives[order.n]:
-        value = positions.values[base[alt]]
-        if value != expected[alt]:
-            detail = f"linear order [{order}] should place {alt} at {expected[alt]}"
-            yield None, alt, None, expected[alt], value, detail
+        # On a linear order the tier index is the place, counted from 0.
+        expected = code[slot[alt]] + 1
+        value = values[base[alt]]
+        if value != expected:
+            detail = f"linear order [{order}] should place {alt} at {expected}"
+            yield None, alt, None, Fraction(expected), value, detail
             return
     yield None
 
@@ -493,9 +490,7 @@ def _check(op: PositionOperator, axiom: Axiom, universe: _Universe) -> AxiomRepo
     if axiom in _NEEDS_TIES and op.domain is Domain.LINEAR_ONLY:
         return AxiomReport(op.name, axiom, max_n, Verdict.NOT_APPLICABLE, 0, None)
     positions = universe.positions(op)
-    # Sequentiality speaks of linear orders only; every other axiom ranges
-    # over the operator's whole domain.
-    linear = axiom is Axiom.SEQUENTIALITY or op.domain is Domain.LINEAR_ONLY
+    linear = op.domain is Domain.LINEAR_ONLY
     cases_of = _DEFINITIONS[axiom]
     # The case count of each tier-size shape seen, when one order per
     # shape suffices.

@@ -37,6 +37,7 @@ from .operators import (
     NotLinear,
     UnknownOperator,
     _digit_limit,
+    _refusal,
     get_operator,
     parse_exact,
     to_fraction,
@@ -86,9 +87,6 @@ _LINE_BREAK = re.compile(rb"\r\n?|\n")
 # An error line quotes at most this many characters of its message.
 _ERROR_CHARS = 200
 
-# A run of digits, as int() counts them: the underscores between them do not.
-_DIGIT_RUN = re.compile(r"[0-9_]+")
-
 # Exit code when the reader of stdout leaves early, as ``| head`` does: the
 # status a process killed by SIGPIPE reports, 128 + 13.
 EXIT_PIPE_CLOSED = 141
@@ -108,21 +106,6 @@ def _csv_rows(text: str) -> Iterator[tuple[int, list[str]]]:
             start = reader.line_num + 1
     except csv.Error as exc:
         raise ParseError(f"line {reader.line_num}: {exc}") from None
-
-
-def _refusal(text: str, name: str, error: Exception, otherwise: str) -> str:
-    """Why :func:`parse_exact` refused ``text``, which the message calls ``name``.
-
-    A run of more digits than Python reads into an integer, and a decimal
-    that ``error`` places beyond parse_exact's exponent range, are named as
-    the reason; any other refusal is the message ``otherwise``.
-    """
-    limit = _digit_limit()
-    if any(len(run.replace("_", "")) > limit for run in _DIGIT_RUN.findall(text)):
-        return f"{name} has more digits than Python prints ({limit}): {text!r}"
-    if str(error).startswith("exponent out of range"):
-        return f"{name} has an exponent out of range: {text!r}"
-    return otherwise
 
 
 def _parse_scores(text: str, has_header: bool) -> dict[Score, list[str]]:

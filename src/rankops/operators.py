@@ -148,7 +148,8 @@ def _by_tier(order: WeakOrder, value: Callable[[int, int, int], int | Fraction])
     number of alternatives in the tiers before it and ``size`` its own
     cardinality: the three quantities the tie-aware ranks are defined by.
     A rule returns an ``int`` or a ``Fraction``.  Only an ``int`` is wrapped,
-    so the members of a tier share one ``Fraction``, the rule's own.
+    so the members of a tier share one ``Fraction``, the rule's own; only
+    ``rank``'s bucketing of the rows by position relies on that.
     """
     positions: dict[AltId, Fraction] = {}
     above = 0
@@ -311,6 +312,8 @@ def dense_over_tier_count(order: WeakOrder) -> PositionAssignment:
 _DECIMAL = re.compile(r"[-+]?(?=\.?\d)\d*(?:_\d+)*(?:\.(?:\d+(?:_\d+)*)?)?(?:[eE][-+]?\d+(?:_\d+)*)?")
 # Decimal arithmetic stays far inside its exponent range below this bound.
 _EXPONENT_LIMIT = 10**15
+# A run of digits, as int() counts them: the underscores between them do not.
+_DIGIT_RUN = re.compile(r"[0-9_]+")
 
 
 def parse_exact(text: str) -> Decimal | Fraction:
@@ -342,6 +345,21 @@ def parse_exact(text: str) -> Decimal | Fraction:
     if not in_range:
         raise ValueError(f"exponent out of range: {text!r}")
     return value
+
+
+def _refusal(text: str, name: str, error: Exception, otherwise: str) -> str:
+    """Why :func:`parse_exact` refused ``text``, which the message calls ``name``.
+
+    A run of more digits than Python reads into an integer, and a decimal
+    that ``error`` places beyond parse_exact's exponent range, are named as
+    the reason; any other refusal is the message ``otherwise``.
+    """
+    limit = _digit_limit()
+    if any(len(run.replace("_", "")) > limit for run in _DIGIT_RUN.findall(text)):
+        return f"{name} has more digits than Python prints ({limit}): {text!r}"
+    if str(error).startswith("exponent out of range"):
+        return f"{name} has an exponent out of range: {text!r}"
+    return otherwise
 
 
 def to_fraction(value: Rational | Decimal) -> Fraction:
@@ -453,15 +471,17 @@ def get_operator(name: str) -> PositionOperator:
         params: dict[str, Fraction] = {}
         for part in name[len("affine:") :].split(","):
             key, _, raw = part.partition("=")
-            key = key.strip()
+            key, raw = key.strip(), raw.strip()
             if key not in ("a", "b") or key in params:
                 raise UnknownOperator(f"bad affine parameter list in {name!r}")
             try:
-                params[key] = to_fraction(raw.strip())
+                params[key] = to_fraction(raw)
             except ZeroDivisionError:
                 raise UnknownOperator(f"bad affine coefficient in {name!r}: zero denominator") from None
             except ValueError as exc:
-                raise UnknownOperator(f"bad affine coefficient in {name!r}: {exc}") from None
+                raise UnknownOperator(
+                    _refusal(raw, f"affine coefficient {key}", exc, f"bad affine coefficient in {name!r}: {exc}")
+                ) from None
         if set(params) != {"a", "b"}:
             raise UnknownOperator(f"affine form needs both a= and b=: {name!r}")
         return make_affine_operator(params["a"], params["b"])

@@ -31,6 +31,7 @@ from rankops import (
     run_axiom_reports,
     standard,
 )
+from rankops.axioms import _DEFINITIONS, _Universe
 from rankops.operators import _by_tier, _tier_rule_operator
 
 AXIOMS = tuple(Axiom)
@@ -98,6 +99,39 @@ def test_sequentiality_verdicts():
     assert affine_report.verdict is Verdict.FAIL
     assert affine_report.witness.base.is_linear
     assert check(REGISTRY["list-index"], Axiom.SEQUENTIALITY, 3).verdict is Verdict.FAIL
+
+
+def test_sequentiality_blames_the_operator_at_fault(monkeypatch):
+    """Sequentiality compares with the order's own 1..n, not with an
+    operator: when the shared tier loop counts from 0, the operators built
+    on it fail and the independent ``dense-chain`` still passes."""
+    from rankops import operators as operators_module
+
+    def from_zero(order, value):
+        return _by_tier(order, lambda depth, above, size: value(depth, above, size) - 1)
+
+    monkeypatch.setattr(operators_module, "_by_tier", from_zero)
+    for name in ("dense", "standard"):
+        report = check(REGISTRY[name], Axiom.SEQUENTIALITY, 3)
+        assert report.verdict is Verdict.FAIL, name
+        assert report.witness.base == from_tiers([{"x1"}])
+        assert (report.witness.before, report.witness.after) == (F(1), F(0))
+    assert check(REGISTRY["dense-chain"], Axiom.SEQUENTIALITY, 3).verdict is Verdict.PASS
+
+
+def test_definitions_run_without_the_driver():
+    """Each definition states which orders it speaks of, so run on every
+    order of the universe it yields exactly the cases ``check`` counts."""
+    op = REGISTRY["dense"]
+    universe = _Universe(4)
+    positions = universe.positions(op)
+    for axiom, cases_of in _DEFINITIONS.items():
+        cases = sum(
+            1
+            for order, code in universe.orders
+            for _ in cases_of(positions, order, code, positions.at(code, lambda: order))
+        )
+        assert cases == check(op, axiom, 4).cases_checked, axiom
 
 
 def test_truncation_verdicts():

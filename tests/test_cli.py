@@ -82,6 +82,23 @@ def test_rank_json_tiers_input():
     assert out == "id,position\nx,2\ny,2\nz,3\n"
 
 
+@pytest.mark.parametrize("output_format", ["csv", "json"])
+def test_rank_json_tiers_mixed_int_and_str_ids_in_one_tier(output_format, tmp_path, capsys):
+    # One bucket holding int and str ids: a plain sort, or a quoting that
+    # takes only str, would raise TypeError on it.
+    path = tmp_path / "tiers.json"
+    path.write_text('{"tiers": [["b", 2, "a", 1]]}', encoding="utf-8")
+    args = ["--input-format", "json-tiers", "--output-format", output_format]
+    assert main(["rank", "--method", "dense", *args, str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    if output_format == "csv":
+        assert captured.out == "id,position\n1,1\n2,1\na,1\nb,1\n"
+    else:
+        ids = [row["id"] for row in json.loads(captured.out)["positions"]]
+        assert ids == [1, 2, "a", "b"]
+
+
 def test_rank_row_permutation_invariance():
     import itertools
 

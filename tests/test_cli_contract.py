@@ -341,8 +341,18 @@ def test_cli_contract(argv, data, via_file):
         (["--input-format", "json-tiers"], LONG_LABEL_JSON),
         (["--input-format", "json-tiers"], '{"tiers": [[-' + "1" * 5000 + "]]}"),
         (["--method", "list-index"], LONG_ID_CSV),
+        (["--method", "affine:a=" + "1" * 5000 + ",b=0"], "a,1\n"),
+        (["--method", "affine:a=1/" + "1" * 5000 + ",b=0"], "a,1\n"),
+        (["--method", "affine:a=0." + "1" * 5000 + ",b=0"], "a,1\n"),
     ],
-    ids=["5000-digit-label", "negative-5000-digit-label", "list-index-5000-digit-id"],
+    ids=[
+        "5000-digit-label",
+        "negative-5000-digit-label",
+        "list-index-5000-digit-id",
+        "5000-digit-affine-coefficient",
+        "5000-digit-affine-denominator",
+        "5000-digit-affine-decimal",
+    ],
 )
 def test_digit_limit_errors_name_the_limit(args, text, tmp_path, capsys):
     path = tmp_path / "input"
