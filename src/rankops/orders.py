@@ -66,7 +66,8 @@ class EmptyTier(OrderError):
 
 
 class DuplicateAlternative(OrderError):
-    """Raised when an alternative appears in more than one tier."""
+    """Raised when an alternative appears in more than one tier, or twice in
+    one tier of the interchange form."""
 
 
 class NotComplete(OrderError):
@@ -427,8 +428,13 @@ def weak_order_from_json(payload: object) -> WeakOrder:
     tiers = payload["tiers"]
     if not isinstance(tiers, list) or not all(isinstance(t, list) for t in tiers):
         raise OrderError('"tiers" must be a list of lists of labels')
-    for tier in tiers:
+    for position, tier in enumerate(tiers):
+        seen: set[AltId] = set()
         for label in tier:
             if not isinstance(label, (str, int)) or isinstance(label, bool):
                 raise OrderError(f"labels must be strings or integers, got {label!r}")
+            # from_tiers makes each tier a set, which would merge a repeat silently.
+            if label in seen:
+                raise DuplicateAlternative(f"alternative {label!r} appears twice in tier {position}")
+            seen.add(label)
     return from_tiers(tiers)

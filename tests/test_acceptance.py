@@ -9,14 +9,11 @@ from __future__ import annotations
 
 import json
 import math
-import os
-import subprocess
-import sys
 import time
 from fractions import Fraction as F
-from pathlib import Path
 
 import pytest
+import support
 
 from rankops import (
     REGISTRY,
@@ -34,29 +31,8 @@ from rankops import (
 )
 from rankops.axioms import Axiom, engine_ground
 
-REPO = Path(__file__).resolve().parents[1]
-
-
 def _report(criterion: str, ok: bool) -> None:
     print(f"{'PASS' if ok else 'FAIL'} {criterion}")
-
-
-def _all_orders(max_n: int):
-    for n in range(1, max_n + 1):
-        yield from enumerate_weak_orders(engine_ground(n))
-
-
-def run_cli(*args: str, stdin: str = "") -> subprocess.CompletedProcess:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
-    return subprocess.run(
-        [sys.executable, "-m", "rankops", *args],
-        input=stdin,
-        capture_output=True,
-        text=True,
-        env=env,
-        cwd=REPO,
-    )
 
 
 @pytest.fixture(scope="module")
@@ -179,7 +155,7 @@ def test_criterion_06_dense_equals_chain_oracle():
     start = time.perf_counter()
     total = 0
     ok = True
-    for order in _all_orders(5):
+    for order in support.orders_up_to(5):
         total += 1
         ok = ok and dense(order) == dense_via_chain(order)
     elapsed = time.perf_counter() - start
@@ -213,7 +189,7 @@ def test_criterion_07_enumeration_counts_match_recurrence():
 
 def test_criterion_08_midpoint_identity_and_pointwise_chain():
     ok = True
-    for order in _all_orders(5):
+    for order in support.orders_up_to(5):
         d, s, m, f = dense(order), standard(order), modified(order), fractional(order)
         for alt in order.ground:
             ok = ok and f[alt] == F(s[alt] + m[alt], 2)
@@ -228,7 +204,7 @@ def test_criterion_08_midpoint_identity_and_pointwise_chain():
 
 def test_criterion_09_duplication_shift_patterns():
     ok = True
-    for order in _all_orders(4):
+    for order in support.orders_up_to(4):
         for pattern in order.sorted_alternatives():
             extended = order.duplicate(pattern, "+clone")
             tier = order.tier_index_of(pattern)
@@ -257,13 +233,13 @@ def test_criterion_09_duplication_shift_patterns():
 
 
 def test_criterion_10_cli_end_to_end(tmp_path):
-    ranked = run_cli("rank", "--method", "dense", stdin="x,10\ny,10\nz,7\n")
+    ranked = support.run([*support.CLI, "rank", "--method", "dense"], input="x,10\ny,10\nz,7\n")
     bytes_ok = ranked.returncode == 0 and ranked.stdout == "id,position\nx,1\ny,1\nz,2\n"
 
     first_path = tmp_path / "first.json"
     second_path = tmp_path / "second.json"
-    first = run_cli("verify", "--max-n", "4", "--report", str(first_path))
-    second = run_cli("verify", "--max-n", "4", "--report", str(second_path))
+    first = support.run([*support.CLI, "verify", "--max-n", "4", "--report", str(first_path)])
+    second = support.run([*support.CLI, "verify", "--max-n", "4", "--report", str(second_path)])
     verify_ok = first.returncode == 0 and second.returncode == 0
     deterministic = first_path.read_bytes() == second_path.read_bytes()
 

@@ -8,6 +8,7 @@ from collections import Counter
 from fractions import Fraction as F
 
 import pytest
+import support
 
 from rankops import (
     EXPECTED_MATRIX,
@@ -203,11 +204,6 @@ def test_whole_runs_reject_tiny_bounds(run):
 # ----- quantifier bookkeeping ---------------------------------------------------
 
 
-def _orders_up_to(max_n: int):
-    for n in range(1, max_n + 1):
-        yield from enumerate_weak_orders(engine_ground(n))
-
-
 def test_case_counts_match_analytic_values():
     counts = {n: sum(1 for _ in enumerate_weak_orders(engine_ground(n))) for n in range(1, 6)}
 
@@ -230,14 +226,14 @@ def test_case_counts_match_analytic_values():
 
     equality = check(REGISTRY["dense"], Axiom.EQUALITY, 4)
     expected_pairs = sum(
-        math.comb(len(tier), 2) for order in _orders_up_to(4) for tier in order.tiers
+        math.comb(len(tier), 2) for order in support.orders_up_to(4) for tier in order.tiers
     )
     assert equality.cases_checked == expected_pairs
 
     ud = check(REGISTRY["dense"], Axiom.UD_INDEPENDENCY, 5)
     expected_moves = sum(
         len(tier) * (order.num_tiers - 1)
-        for order in _orders_up_to(5)
+        for order in support.orders_up_to(5)
         for tier in order.tiers
         if len(tier) >= 2
     )
@@ -441,7 +437,7 @@ def test_neutrality_scans_every_order_and_other_cells_one_per_shape(monkeypatch)
         return call(op, order)
 
     monkeypatch.setattr(PositionOperator, "__call__", recorded)
-    universe = set(_orders_up_to(4))
+    universe = set(support.orders_up_to(4))
     check(REGISTRY["dense"], Axiom.NEUTRALITY, 4)
     assert universe <= evaluated
     evaluated.clear()

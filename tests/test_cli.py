@@ -4,11 +4,11 @@ import io
 import json
 import os
 import subprocess
-import sys
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+import support
 
 from rankops import dense, enumerate_weak_orders, weak_order_from_json, weak_order_to_json
 from rankops.cli import (
@@ -21,21 +21,7 @@ from rankops.cli import (
     rank_payload,
 )
 
-REPO = Path(__file__).resolve().parents[1]
 SCORES = "x,10\ny,10\nz,7\n"
-
-
-def run_cli(*args: str, stdin: str = "") -> subprocess.CompletedProcess:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
-    return subprocess.run(
-        [sys.executable, "-m", "rankops", *args],
-        input=stdin,
-        capture_output=True,
-        text=True,
-        env=env,
-        cwd=REPO,
-    )
 
 
 # ----- rank -----------------------------------------------------------------
@@ -160,6 +146,17 @@ def test_rank_parse_errors():
     with pytest.raises(ParseError) as excinfo:
         rank_payload('{"tiers":[["x",1],["1"]]}', method="dense", input_format="json-tiers")
     assert "'1'" in str(excinfo.value)
+
+
+def test_rank_json_tiers_refuses_a_label_repeated_within_a_tier(tmp_path, capsys):
+    text = '{"tiers":[["a","a"],["b"]]}'
+    with pytest.raises(ParseError) as excinfo:
+        rank_payload(text, method="dense", input_format="json-tiers")
+    assert str(excinfo.value) == "alternative 'a' appears twice in tier 0"
+    path = tmp_path / "tiers.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["rank", "--method", "dense", "--input-format", "json-tiers", str(path)]) == 2
+    assert capsys.readouterr() == ("", "error: alternative 'a' appears twice in tier 0\n")
 
 
 @pytest.mark.parametrize(
@@ -298,19 +295,19 @@ def test_main_verify_unwritable_report_is_input_error(tmp_path, monkeypatch, cap
 
 
 def test_subprocess_rank_matches_direct_call():
-    result = run_cli("rank", "--method", "dense", stdin=SCORES)
+    result = support.run([*support.CLI, "rank", "--method", "dense"], input=SCORES)
     assert result.returncode == 0
     assert result.stdout == "id,position\nx,1\ny,1\nz,2\n"
 
 
 def test_subprocess_enumerate_count():
-    result = run_cli("enumerate", "5", "--count-only")
+    result = support.run([*support.CLI, "enumerate", "5", "--count-only"])
     assert result.returncode == 0
     assert result.stdout == "541\n"
 
 
 def test_subprocess_unknown_method_exit_code():
-    result = run_cli("rank", "--method", "nope", stdin=SCORES)
+    result = support.run([*support.CLI, "rank", "--method", "nope"], input=SCORES)
     assert result.returncode == 2
     assert "no operator named" in result.stderr
 
@@ -331,15 +328,10 @@ def test_subprocess_rank_rejects_non_utf8_from_file_and_stdin(tmp_path, stdin_en
     interpreter decodes stdin."""
     path = tmp_path / "scores.csv"
     path.write_bytes(NOT_UTF8)
-    env = dict(os.environ, PYTHONIOENCODING=stdin_encoding)
-    env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    env = support.env(PYTHONIOENCODING=stdin_encoding)
     for extra, stdin in (([str(path)], b""), ([], NOT_UTF8)):
-        result = subprocess.run(
-            [sys.executable, "-m", "rankops", "rank", "--method", "dense", *extra],
-            input=stdin,
-            capture_output=True,
-            env=env,
-            cwd=REPO,
+        result = support.run(
+            [*support.CLI, "rank", "--method", "dense", *extra], input=stdin, text=False, env=env
         )
         assert result.returncode == 2
         assert result.stdout == b""
@@ -351,10 +343,7 @@ def test_subprocess_rank_bytes_do_not_depend_on_the_locale(tmp_path, encoding):
     """Input is read as UTF-8 and output and error lines written as UTF-8,
     from a file and from stdin, whatever encoding the interpreter's streams
     were given."""
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
-    if encoding:
-        env["PYTHONIOENCODING"] = encoding
-    env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    env = support.env(PYTHONIOENCODING=encoding)
     path = tmp_path / "scores.csv"
     for data, expected in (
         ("a,1\né,2\n".encode("utf-8"), (0, "id,position\né,1\na,2\n".encode("utf-8"), b"")),
@@ -366,12 +355,8 @@ def test_subprocess_rank_bytes_do_not_depend_on_the_locale(tmp_path, encoding):
     ):
         path.write_bytes(data)
         for extra, stdin in (([str(path)], b""), ([], data)):
-            result = subprocess.run(
-                [sys.executable, "-m", "rankops", "rank", "--method", "dense", *extra],
-                input=stdin,
-                capture_output=True,
-                env=env,
-                cwd=REPO,
+            result = support.run(
+                [*support.CLI, "rank", "--method", "dense", *extra], input=stdin, text=False, env=env
             )
             assert (result.returncode, result.stdout, result.stderr) == expected
 
@@ -383,16 +368,8 @@ def rank_dense_from_file_and_stdin(tmp_path: Path, data: bytes) -> list[subproce
     """``rank --method dense`` on ``data`` as a file, then on stdin, in bytes."""
     path = tmp_path / "scores.csv"
     path.write_bytes(data)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
     return [
-        subprocess.run(
-            [sys.executable, "-m", "rankops", "rank", "--method", "dense", *extra],
-            input=stdin,
-            capture_output=True,
-            env=env,
-            cwd=REPO,
-        )
+        support.run([*support.CLI, "rank", "--method", "dense", *extra], input=stdin, text=False)
         for extra, stdin in (([str(path)], b""), ([], data))
     ]
 
@@ -446,17 +423,8 @@ NO_DEV_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /de
 )
 def test_subprocess_failed_or_missing_stream_is_one_line(tmp_path, args, redirect, code):
     (tmp_path / "scores.csv").write_text(SCORES, encoding="utf-8")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
     # The shell applies the redirection, then runs the CLI in its place.
-    result = subprocess.run(
-        ["sh", "-c", f'exec "$@" {redirect}', "sh", sys.executable, "-m", "rankops", *args],
-        capture_output=True,
-        text=True,
-        env=env,
-        cwd=tmp_path,
-        timeout=60,
-    )
+    result = support.run(["sh", "-c", f'exec "$@" {redirect}', "sh", *support.CLI, *args], cwd=tmp_path)
     assert result.returncode == code, result.stderr
     assert result.stderr.count("\n") <= 1 and "Traceback" not in result.stderr
     if code == 2:
@@ -476,14 +444,8 @@ def test_subprocess_failed_or_missing_stream_is_one_line(tmp_path, args, redirec
 )
 def test_subprocess_failed_or_missing_stderr_keeps_the_exit_code(tmp_path, args, redirect, code):
     (tmp_path / "scores.csv").write_text(SCORES, encoding="utf-8")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
-    result = subprocess.run(
-        ["sh", "-c", f'exec "$@" {redirect}', "sh", sys.executable, "-m", "rankops", *args],
-        capture_output=True,
-        env=env,
-        cwd=tmp_path,
-        timeout=60,
+    result = support.run(
+        ["sh", "-c", f'exec "$@" {redirect}', "sh", *support.CLI, *args], text=False, cwd=tmp_path
     )
     # Nothing reaches stdout in stderr's place.
     assert (result.returncode, result.stdout, result.stderr) == (code, b"", b"")
@@ -504,20 +466,12 @@ def test_subprocess_failed_or_missing_stderr_keeps_the_exit_code(tmp_path, args,
     ids=["csv", "csv-to-json", "json-tiers"],
 )
 def test_subprocess_rank_drops_a_leading_byte_order_mark(tmp_path, args, data):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
     outputs = []
     for text in (data, b"\xef\xbb\xbf" + data):
         path = tmp_path / "input"
         path.write_bytes(text)
         for extra, stdin in (([str(path)], b""), ([], text)):
-            result = subprocess.run(
-                [sys.executable, "-m", "rankops", "rank", *args, *extra],
-                input=stdin,
-                capture_output=True,
-                env=env,
-                cwd=REPO,
-            )
+            result = support.run([*support.CLI, "rank", *args, *extra], input=stdin, text=False)
             outputs.append((result.returncode, result.stdout, result.stderr))
     assert outputs[0][0] == 0
     assert outputs == [outputs[0]] * 4

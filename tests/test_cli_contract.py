@@ -7,8 +7,6 @@ from __future__ import annotations
 import contextlib
 import io
 import json
-import os
-import subprocess
 import sys
 import tempfile
 import time
@@ -17,28 +15,14 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
+import support
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from rankops import from_tiers
 from rankops.cli import InputError, main, rank_payload
 from rankops.operators import PositionAssignment, affine, list_index, make_affine_operator, to_fraction
 
-REPO = Path(__file__).resolve().parents[1]
 WALL_LIMIT_S = 10.0
-
-
-def _run(args: list[str], stdin: str = "") -> subprocess.CompletedProcess:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
-    return subprocess.run(
-        [sys.executable, "-m", "rankops", *args],
-        input=stdin,
-        capture_output=True,
-        text=True,
-        env=env,
-        cwd=REPO,
-        timeout=60,
-    )
 
 
 def _one_error_line(stderr: str) -> bool:
@@ -121,19 +105,19 @@ TWELVE_ROWS = "".join(f"r{i},{i}\n" for i in range(12))
     ],
 )
 def test_unprintable_affine_numbers_exit_2_with_one_line(method, stdin):
-    result = _run(["rank", "--method", method], stdin)
+    result = support.run([*support.CLI, "rank", "--method", method], input=stdin)
     assert (result.returncode, result.stdout) == (2, "")
     assert _one_error_line(result.stderr)
 
 
 def test_printable_affine_numbers_still_rank():
-    result = _run(["rank", "--method", "affine:a=1e4299,b=0"], "a,1\n")
+    result = support.run([*support.CLI, "rank", "--method", "affine:a=1e4299,b=0"], input="a,1\n")
     assert (result.returncode, result.stderr) == (0, "")
     assert result.stdout == f"id,position\na,1{'0' * 4299}\n"
 
 
 def test_affine_zero_denominator_is_named():
-    result = _run(["rank", "--method", "affine:a=1/0,b=0"], "a,1\nb,2\n")
+    result = support.run([*support.CLI, "rank", "--method", "affine:a=1/0,b=0"], input="a,1\nb,2\n")
     assert (result.returncode, result.stdout) == (2, "")
     assert result.stderr == "error: bad affine coefficient in 'affine:a=1/0,b=0': zero denominator\n"
 
@@ -155,26 +139,26 @@ def test_affine_zero_denominator_is_named():
     ],
 )
 def test_usage_errors_are_one_line(args):
-    result = _run(args, "a,1\n")
+    result = support.run([*support.CLI, *args], input="a,1\n")
     assert (result.returncode, result.stdout) == (2, "")
     assert _one_error_line(result.stderr)
 
 
 def test_negative_epsilon_reads_the_same_with_or_without_equals():
-    joined = _run(["rank", "--method", "dense", "--tie-epsilon=-1/3"], "a,1\n")
-    apart = _run(["rank", "--method", "dense", "--tie-epsilon", "-1/3"], "a,1\n")
+    joined = support.run([*support.CLI, "rank", "--method", "dense", "--tie-epsilon=-1/3"], input="a,1\n")
+    apart = support.run([*support.CLI, "rank", "--method", "dense", "--tie-epsilon", "-1/3"], input="a,1\n")
     assert (apart.returncode, apart.stdout, apart.stderr) == (
         joined.returncode,
         joined.stdout,
         joined.stderr,
     )
     assert joined.stderr == "error: tie epsilon must be non-negative, got -1/3\n"
-    small = _run(["rank", "--method", "dense", "--tie-epsilon", "-1e-3"], "a,1\n")
+    small = support.run([*support.CLI, "rank", "--method", "dense", "--tie-epsilon", "-1e-3"], input="a,1\n")
     assert small.stderr == "error: tie epsilon must be non-negative, got -1/1000\n"
 
 
 def test_negative_epsilon_too_long_to_print_is_called_negative():
-    result = _run(["rank", "--method", "dense", "--tie-epsilon=-1e-5000"], "a,1\n")
+    result = support.run([*support.CLI, "rank", "--method", "dense", "--tie-epsilon=-1e-5000"], input="a,1\n")
     assert (result.returncode, result.stdout) == (2, "")
     assert _one_error_line(result.stderr)
     assert "must be non-negative" in result.stderr
@@ -182,7 +166,7 @@ def test_negative_epsilon_too_long_to_print_is_called_negative():
 
 
 def test_help_is_unchanged():
-    result = _run(["rank", "--help"])
+    result = support.run([*support.CLI, "rank", "--help"])
     assert (result.returncode, result.stderr) == (0, "")
     assert result.stdout.startswith("usage: rankops rank [-h] --method METHOD")
     assert "--tie-epsilon TIE_EPSILON" in result.stdout

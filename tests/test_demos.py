@@ -3,15 +3,10 @@ prints something."""
 
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
+import support
 
-REPO = Path(__file__).resolve().parents[1]
-DEMOS = sorted((REPO / "demos").glob("*.py"))
+DEMOS = sorted((support.REPO / "demos").glob("*.py"))
 
 
 def test_all_four_demos_are_found():
@@ -20,9 +15,6 @@ def test_all_four_demos_are_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
 def test_demo_runs(demo):
-    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
-    result = subprocess.run(
-        [sys.executable, "-W", "error", str(demo)], capture_output=True, text=True, env=env, cwd=REPO
-    )
+    result = support.run([*support.PYTHON, str(demo)])
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip()

@@ -5,7 +5,8 @@ from collections.abc import ItemsView
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+import support
+from hypothesis import given
 
 from rankops import (
     NegativeCoefficient,
@@ -13,11 +14,11 @@ from rankops import (
     OPERATOR_NAMES,
     REGISTRY,
     UnknownOperator,
-    WeakOrder,
     affine,
     dense,
     dense_over_tier_count,
     dense_via_chain,
+    engine_ground,
     enumerate_linear_orders,
     enumerate_weak_orders,
     fractional,
@@ -32,26 +33,6 @@ from rankops import (
     standard,
 )
 from rankops.operators import _by_tier
-
-
-def _ground(n: int) -> tuple[str, ...]:
-    return tuple(f"x{i}" for i in range(1, n + 1))
-
-
-def _all_orders(max_n: int):
-    for n in range(1, max_n + 1):
-        yield from enumerate_weak_orders(_ground(n))
-
-
-@st.composite
-def weak_orders(draw, min_n: int = 1, max_n: int = 7) -> WeakOrder:
-    n = draw(st.integers(min_n, max_n))
-    labels = [f"x{i}" for i in range(1, n + 1)]
-    keys = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
-    groups: dict[int, set[str]] = {}
-    for label, key in zip(labels, keys):
-        groups.setdefault(key, set()).add(label)
-    return from_tiers([groups[k] for k in sorted(groups)])
 
 
 # ----- the four principal operators ------------------------------------------
@@ -101,7 +82,7 @@ def test_sequential_rejects_ties(two_tied_top):
 
 def test_all_operators_coincide_on_linear_orders():
     for n in range(1, 6):
-        for order in enumerate_linear_orders(_ground(n)):
+        for order in enumerate_linear_orders(engine_ground(n)):
             reference = sequential(order)
             assert sorted(reference.values()) == [F(k) for k in range(1, n + 1)]
             for operator in (dense, standard, modified, fractional):
@@ -109,7 +90,7 @@ def test_all_operators_coincide_on_linear_orders():
 
 
 def test_tier_mates_share_positions_exhaustive():
-    for order in _all_orders(5):
+    for order in support.orders_up_to(5):
         for operator in (dense, standard, modified, fractional):
             positions = operator(order)
             for tier in order.tiers:
@@ -119,7 +100,7 @@ def test_tier_mates_share_positions_exhaustive():
 def test_pointwise_order_and_midpoint_identity_exhaustive():
     """dense <= standard <= fractional <= modified, with fractional the
     exact midpoint of the outer competition ranks."""
-    for order in _all_orders(5):
+    for order in support.orders_up_to(5):
         d, s, m, f = dense(order), standard(order), modified(order), fractional(order)
         for alt in order.ground:
             assert d[alt] <= s[alt] <= f[alt] <= m[alt]
@@ -127,7 +108,7 @@ def test_pointwise_order_and_midpoint_identity_exhaustive():
 
 
 def test_monotonicity_of_principal_operators_exhaustive():
-    for order in _all_orders(5):
+    for order in support.orders_up_to(5):
         for operator in (dense, standard, modified, fractional):
             positions = operator(order)
             for a in order.ground:
@@ -137,14 +118,14 @@ def test_monotonicity_of_principal_operators_exhaustive():
 
 def test_dense_equals_chain_computation_exhaustive():
     total = 0
-    for order in _all_orders(5):
+    for order in support.orders_up_to(5):
         total += 1
         assert dense(order) == dense_via_chain(order)
     assert total == 1 + 3 + 13 + 75 + 541
 
 
 def test_dense_range_is_initial_segment():
-    for order in _all_orders(5):
+    for order in support.orders_up_to(5):
         values = set(dense(order).values())
         assert values == {F(k) for k in range(1, order.num_tiers + 1)}
 
@@ -159,7 +140,7 @@ def test_value_multisets_determine_tier_sizes_except_for_dense():
     for n in range(1, 6):
         for operator in (standard, modified, fractional):
             by_multiset: dict[tuple, tuple[int, ...]] = {}
-            for order in enumerate_weak_orders(_ground(n)):
+            for order in enumerate_weak_orders(engine_ground(n)):
                 key = tuple(sorted(operator(order).values()))
                 sizes = tuple(len(t) for t in order.tiers)
                 assert by_multiset.setdefault(key, sizes) == sizes
@@ -180,7 +161,7 @@ def test_quotient_divides_by_tier_size(two_tied_top):
 def test_affine_examples():
     linear = from_tiers([{"a"}, {"b"}])
     assert dict(affine(linear, 2, 1)) == {"a": 3, "b": 5}
-    for order in _all_orders(3):
+    for order in support.orders_up_to(3):
         assert affine(order, 1, 0) == dense(order)
         assert set(affine(order, 0, 5).values()) == {5}
 
@@ -240,7 +221,7 @@ def test_duplication_shift_patterns_exhaustive():
     """Cloning moves exactly the strictly-lower alternatives under the
     competition rank, the clone's tier and below under the low/mid ranks,
     and nobody under the dense rank."""
-    for order in _all_orders(4):
+    for order in support.orders_up_to(4):
         for pattern in order.sorted_alternatives():
             extended = order.duplicate(pattern, "+clone")
             tier = order.tier_index_of(pattern)
@@ -262,7 +243,7 @@ def test_vertical_move_shift_windows_exhaustive():
     """Moving one alternative between tiers k < l disturbs exactly the
     stayers in tiers k+1..l (competition rank), k..l-1 (low rank), k..l
     (mid rank), and nobody (dense rank)."""
-    for order in _all_orders(4):
+    for order in support.orders_up_to(4):
         for mover in order.sorted_alternatives():
             source = order.tier_index_of(mover)
             if len(order.tiers[source]) < 2:
@@ -347,7 +328,7 @@ def test_get_operator_refuses_a_bad_affine_parameter_list(name):
 
 
 def test_assignments_cover_exactly_the_ground_set():
-    for order in _all_orders(3):
+    for order in support.orders_up_to(3):
         for name in OPERATOR_NAMES:
             operator = REGISTRY[name]
             if not operator.in_domain(order):
@@ -395,7 +376,7 @@ def test_by_tier_wraps_an_int_rule_value_as_a_fraction(four_tier_ten):
 
 def test_tier_mates_share_one_position_object_exhaustive():
     tiered = [dense, standard, modified, fractional, quotient, plus_n, dense_over_tier_count, REGISTRY["affine"]]
-    for order in _all_orders(4):
+    for order in support.orders_up_to(4):
         for operator in tiered:
             positions = operator(order)
             for tier in order.tiers:
@@ -406,19 +387,19 @@ def test_tier_mates_share_one_position_object_exhaustive():
 # ----- randomized cross-checks ----------------------------------------------------
 
 
-@given(weak_orders())
+@given(support.weak_orders())
 def test_random_midpoint_identity(order):
     s, m, f = standard(order), modified(order), fractional(order)
     for alt in order.ground:
         assert f[alt] == F(s[alt] + m[alt], 2)
 
 
-@given(weak_orders())
+@given(support.weak_orders())
 def test_random_dense_matches_chain(order):
     assert dense(order) == dense_via_chain(order)
 
 
-@given(weak_orders())
+@given(support.weak_orders())
 def test_random_pointwise_order(order):
     d, s, m, f = dense(order), standard(order), modified(order), fractional(order)
     for alt in order.ground:
@@ -432,7 +413,7 @@ def test_tier_rules_match_per_alternative_definitions_exhaustive():
     """Each operator fed by the shared tier loop equals the formula it
     was first written as, alternative by alternative."""
     coefficients = [(0, 0), (0, 3), (2, 1), (F(1, 2), F(5, 3))]
-    for order in _all_orders(5):
+    for order in support.orders_up_to(5):
         n, base = order.n, dense(order)
         got = {
             "quotient": quotient(order),
@@ -457,7 +438,7 @@ def test_tier_rules_match_per_alternative_definitions_exhaustive():
 
 
 def test_every_position_is_a_fraction_exhaustive():
-    for order in _all_orders(5):
+    for order in support.orders_up_to(5):
         for op in REGISTRY.values():
             if op.in_domain(order):
                 assert all(type(value) is F for value in op(order).values()), op.name

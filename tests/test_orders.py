@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 
 import pytest
+import support
 from hypothesis import given, strategies as st
 
 from rankops import (
@@ -19,7 +20,6 @@ from rankops import (
     SourceTierWouldVanish,
     TargetTierAbsent,
     UnknownAlternative,
-    WeakOrder,
     enumerate_linear_orders,
     enumerate_weak_orders,
     from_pairs,
@@ -41,26 +41,6 @@ def _partition_count(n: int) -> int:
 
 
 EXPECTED_COUNTS = {1: 1, 2: 3, 3: 13, 4: 75, 5: 541}
-
-
-def _ground(n: int) -> tuple[str, ...]:
-    return tuple(f"x{i}" for i in range(1, n + 1))
-
-
-def _all_orders(max_n: int):
-    for n in range(1, max_n + 1):
-        yield from enumerate_weak_orders(_ground(n))
-
-
-@st.composite
-def weak_orders(draw, min_n: int = 1, max_n: int = 7) -> WeakOrder:
-    n = draw(st.integers(min_n, max_n))
-    labels = [f"x{i}" for i in range(1, n + 1)]
-    keys = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
-    groups: dict[int, set[str]] = {}
-    for label, key in zip(labels, keys):
-        groups.setdefault(key, set()).add(label)
-    return from_tiers([groups[k] for k in sorted(groups)])
 
 
 # ----- construction ---------------------------------------------------------
@@ -125,7 +105,7 @@ def test_from_pairs_rejects_unknown_members():
 
 
 def test_from_pairs_matches_induced_relation_exhaustively():
-    for order in _all_orders(4):
+    for order in support.orders_up_to(4):
         pairs = {
             (a, b)
             for a in order.ground
@@ -164,7 +144,7 @@ def test_tier_signature_linear_and_flat():
 
 
 def test_tier_signature_invariants_exhaustive():
-    for order in _all_orders(5):
+    for order in support.orders_up_to(5):
         sig = order.tier_signature()
         assert 0 in sig.realized
         assert sum(size for _, size in sig.sizes) == order.n
@@ -173,7 +153,7 @@ def test_tier_signature_invariants_exhaustive():
 
 def test_indifference_iff_equal_dominated_count():
     """Two alternatives share a tier exactly when they dominate equally many."""
-    for order in _all_orders(5):
+    for order in support.orders_up_to(5):
         alternatives = order.sorted_alternatives()
         for a in alternatives:
             for b in alternatives:
@@ -252,7 +232,7 @@ def test_duplicate_errors(two_tied_top):
 
 
 def test_duplicate_then_restrict_is_identity_exhaustive():
-    for order in _all_orders(5):
+    for order in support.orders_up_to(5):
         for pattern in order.sorted_alternatives():
             extended = order.duplicate(pattern, "+clone")
             assert extended.num_tiers == order.num_tiers
@@ -281,7 +261,7 @@ def test_ud_move_errors():
 
 
 def test_ud_move_preserves_structure_exhaustive():
-    for order in _all_orders(5):
+    for order in support.orders_up_to(5):
         for mover in order.sorted_alternatives():
             if len(order.tier_of(mover)) < 2:
                 continue
@@ -310,7 +290,7 @@ def test_maximal_chain_linear_and_flat():
 
 
 def test_maximal_chain_properties_exhaustive():
-    for order in _all_orders(5):
+    for order in support.orders_up_to(5):
         chain = order.maximal_chain()
         assert len(chain) == order.num_tiers
         for first, second in zip(chain, chain[1:]):
@@ -322,7 +302,7 @@ def test_maximal_chain_properties_exhaustive():
 
 def test_enumeration_counts_match_recurrence():
     for n in range(1, 6):
-        count = sum(1 for _ in enumerate_weak_orders(_ground(n)))
+        count = sum(1 for _ in enumerate_weak_orders(engine_ground(n)))
         assert count == _partition_count(n) == EXPECTED_COUNTS[n]
         assert ordered_bell(n) == count
 
@@ -330,24 +310,24 @@ def test_enumeration_counts_match_recurrence():
 def test_enumeration_is_duplicate_free_and_exhaustively_valid():
     for n in range(1, 5):
         seen = set()
-        for order in enumerate_weak_orders(_ground(n)):
-            assert order.ground == frozenset(_ground(n))
+        for order in enumerate_weak_orders(engine_ground(n)):
+            assert order.ground == frozenset(engine_ground(n))
             seen.add(order.tiers)
         assert len(seen) == EXPECTED_COUNTS[n]
 
 
 def test_enumeration_is_deterministic():
-    first = [order.tiers for order in enumerate_weak_orders(_ground(4))]
-    second = [order.tiers for order in enumerate_weak_orders(_ground(4))]
+    first = [order.tiers for order in enumerate_weak_orders(engine_ground(4))]
+    second = [order.tiers for order in enumerate_weak_orders(engine_ground(4))]
     assert first == second
 
 
 def test_linear_enumeration():
-    orders = list(enumerate_linear_orders(_ground(3)))
+    orders = list(enumerate_linear_orders(engine_ground(3)))
     assert len(orders) == 6
     assert all(order.is_linear and order.num_tiers == 3 for order in orders)
     assert len({order.tiers for order in orders}) == 6
-    assert len(list(enumerate_linear_orders(_ground(1)))) == 1
+    assert len(list(enumerate_linear_orders(engine_ground(1)))) == 1
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -400,17 +380,24 @@ def test_json_rejects_malformed():
         weak_order_from_json({"tiers": [["a"], [None]]})
 
 
+def test_json_rejects_a_label_repeated_within_a_tier():
+    with pytest.raises(DuplicateAlternative, match=r"^alternative 'a' appears twice in tier 0$"):
+        weak_order_from_json({"tiers": [["a", "a"], ["b"]]})
+    with pytest.raises(DuplicateAlternative, match=r"^alternative 7 appears twice in tier 1$"):
+        weak_order_from_json({"tiers": [["a"], [7, "b", 7]]})
+
+
 # ----- randomized structure checks --------------------------------------------------
 
 
-@given(weak_orders())
+@given(support.weak_orders())
 def test_random_orders_are_well_formed(order):
     assert frozenset().union(*order.tiers) == order.ground
     assert sum(len(t) for t in order.tiers) == order.n
     assert order.restrict(order.ground) == order
 
 
-@given(weak_orders(min_n=2), st.data())
+@given(support.weak_orders(min_n=2), st.data())
 def test_random_duplicate_round_trip(order, data):
     pattern = data.draw(st.sampled_from(order.sorted_alternatives()))
     extended = order.duplicate(pattern, "+clone")
@@ -419,7 +406,7 @@ def test_random_duplicate_round_trip(order, data):
 
 
 def test_is_linear_iff_every_tier_is_a_singleton_exhaustive():
-    for order in _all_orders(5):
+    for order in support.orders_up_to(5):
         assert order.is_linear == all(len(tier) == 1 for tier in order.tiers)
 
 
@@ -434,7 +421,7 @@ def test_sorted_alternatives_returns_a_fresh_list(four_tier_ten):
 def test_dominated_count_and_tier_signature_agree_exhaustive():
     """Below-counts match strict preference, and the signature lists them
     tier by tier with the tier sizes."""
-    for order in _all_orders(5):
+    for order in support.orders_up_to(5):
         for alt in order.ground:
             assert order.dominated_count(alt) == sum(order.prefers(alt, b) for b in order.ground)
         expected = tuple((order.dominated_count(next(iter(tier))), len(tier)) for tier in order.tiers)

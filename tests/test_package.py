@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from pathlib import Path
+
 import rankops
 
 PUBLIC_NAMES = {
@@ -31,3 +33,19 @@ def test_public_names_are_pinned():
     for name in PUBLIC_NAMES:
         assert hasattr(rankops, name), name
 
+
+
+def test_child_processes_are_spawned_only_through_support():
+    """A test that builds its own command line or environment would bypass
+    ``support.run``'s warnings as errors and timeout.  The two names are
+    spelled in halves so that this file does not match itself."""
+    forbidden = ("sys" ".executable", "PYTHON" "PATH")
+    tests = Path(__file__).resolve().parent
+    offenders = [
+        (path.name, name)
+        for path in sorted(tests.glob("*.py"))
+        if path.name != "support.py"
+        for name in forbidden
+        if name in path.read_text(encoding="utf-8")
+    ]
+    assert offenders == []

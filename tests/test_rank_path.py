@@ -7,16 +7,14 @@ import csv
 import importlib.util
 import io
 import json
-import os
 import re
 import subprocess
-import sys
 import time
 from decimal import Decimal
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
+import support
 from hypothesis import given, settings, strategies as st
 
 from rankops import OPERATOR_NAMES, WeakOrder, cli, dense, from_tiers, label_key
@@ -39,9 +37,7 @@ from rankops.operators import (
     parse_exact,
 )
 
-REPO = Path(__file__).resolve().parents[1]
-
-_spec = importlib.util.spec_from_file_location("bench_inputs", REPO / "bench" / "inputs.py")
+_spec = importlib.util.spec_from_file_location("bench_inputs", support.REPO / "bench" / "inputs.py")
 bench_inputs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_inputs)
 
@@ -275,22 +271,6 @@ def test_decimal_and_fraction_scores_share_a_tier():
 HUGE_LIMIT_S = 20.0
 
 
-def _run(args: list[str], stdin: str) -> tuple[subprocess.CompletedProcess, float]:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
-    start = time.perf_counter()
-    result = subprocess.run(
-        [sys.executable, "-m", "rankops", *args],
-        input=stdin,
-        capture_output=True,
-        text=True,
-        env=env,
-        cwd=REPO,
-        timeout=HUGE_LIMIT_S,
-    )
-    return result, time.perf_counter() - start
-
-
 @pytest.mark.parametrize(
     "args, stdin, stdout",
     [
@@ -302,7 +282,9 @@ def _run(args: list[str], stdin: str) -> tuple[subprocess.CompletedProcess, floa
     ],
 )
 def test_huge_exponents_finish_quickly(args, stdin, stdout):
-    result, wall = _run(["rank", "--method", "dense", *args], stdin)
+    start = time.perf_counter()
+    result = support.run([*support.CLI, "rank", "--method", "dense", *args], input=stdin, timeout=HUGE_LIMIT_S)
+    wall = time.perf_counter() - start
     assert (result.returncode, result.stdout, result.stderr) == (0, stdout, "")
     assert wall < HUGE_LIMIT_S
 
@@ -317,7 +299,9 @@ def test_huge_exponents_finish_quickly(args, stdin, stdout):
     ],
 )
 def test_out_of_range_exponents_exit_2_with_one_line(args):
-    result, wall = _run(["rank", *args], "a,1\nb,2\n")
+    start = time.perf_counter()
+    result = support.run([*support.CLI, "rank", *args], input="a,1\nb,2\n", timeout=HUGE_LIMIT_S)
+    wall = time.perf_counter() - start
     assert result.returncode == 2
     assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
     assert "Traceback" not in result.stderr
@@ -349,15 +333,13 @@ def test_epsilon_gaps_are_exact_at_any_scale():
     [["enumerate", "5"], ["enumerate", "3", "--count-only"], ["verify", "--max-n", "3"], ["rank", "--method", "dense"]],
 )
 def test_closed_stdout_exits_quietly(args):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.Popen(
-        [sys.executable, "-m", "rankops", *args],
+        [*support.CLI, *args],
         stdin=subprocess.PIPE,
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env=env,
-        cwd=REPO,
+        env=support.env(),
+        cwd=support.REPO,
     )
     # Closing the read end first makes every write of the child fail.
     proc.stdout.close()
