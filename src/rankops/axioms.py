@@ -49,11 +49,11 @@ that labels do not matter, so it scans every order, and so does every
 unmarked operator: ``list-index``, ``dense-chain`` and any operator built
 with the public constructor.
 
-Positions are compared as per-operator ids: each distinct value an
-operator returns gets a small integer when it is first seen, so two ids
-are equal exactly when the two rationals are.  A witness reads the
-``Fraction``s back, and monotonicity ranks the ids within each order by
-the values they stand for.
+Positions are compared as exact pairs: a ``Fraction`` is kept in lowest
+terms with a positive denominator, so its (numerator, denominator) pair
+is equal to another exactly when the two rationals are.  A witness
+rebuilds the ``Fraction`` from its pair, and monotonicity compares two
+pairs by cross-multiplying.
 
 The dense rank passes all seven checks.  It is the only registered
 operator that combines sequentiality with duplication, and the only one
@@ -173,8 +173,9 @@ def engine_ground(n: int) -> tuple[str, ...]:
 # one case when another case derives it again.
 
 Code = tuple[int, ...]
-# Each alternative's position, as the id its operator's ``_Positions`` gave it.
-Ids = dict[AltId, int]
+# A position as its exact (numerator, denominator) pair, in lowest terms.
+Pair = tuple[int, int]
+Pairs = dict[AltId, Pair]
 
 
 def _code(order: WeakOrder, slot: Mapping[AltId, int]) -> Code:
@@ -196,36 +197,30 @@ class _Positions:
     alternatives in label order, so no definition sorts a base order.  Each
     order is evaluated once and found again by its code in ``table``.
 
-    A position is handed out as an id: ``ids`` gives each distinct value,
-    keyed by its numerator and denominator, the index at which ``values``
-    holds the operator's own ``Fraction``.  Both are fresh per operator,
-    so ids compare equal exactly when the positions do.
+    A position is handed out as its (numerator, denominator) pair, and
+    ``pairs`` keeps one copy of each distinct pair for the operator, so
+    equal positions share one tuple in the table.
     """
 
     op: PositionOperator
     slot: Mapping[AltId, int]
     clone: AltId
     alternatives: Mapping[int, tuple[AltId, ...]]
-    table: dict[Code, Ids] = field(default_factory=dict)
-    ids: dict[tuple[int, int], int] = field(default_factory=dict)
-    values: list[Fraction] = field(default_factory=list)
+    table: dict[Code, Pairs] = field(default_factory=dict)
+    pairs: dict[Pair, Pair] = field(default_factory=dict)
 
-    def evaluate(self, order: WeakOrder) -> Ids:
-        """The id of each alternative's position in ``order``, untabled."""
-        ids, values = self.ids, self.values
+    def evaluate(self, order: WeakOrder) -> Pairs:
+        """Each alternative's position in ``order`` as its pair, untabled."""
+        intern = self.pairs.setdefault
         result = {}
         for alt, value in self.op(order).items():
-            key = (value.numerator, value.denominator)
-            index = ids.get(key)
-            if index is None:
-                index = ids[key] = len(values)
-                values.append(value)
-            result[alt] = index
+            pair = (value.numerator, value.denominator)
+            result[alt] = intern(pair, pair)
         return result
 
-    def at(self, key: Code, build: Callable[[], WeakOrder]) -> Ids:
-        """The position ids of the order coded ``key``; ``build`` makes that
-        order when it has to be evaluated."""
+    def at(self, key: Code, build: Callable[[], WeakOrder]) -> Pairs:
+        """The position pairs of the order coded ``key``; ``build`` makes
+        that order when it has to be evaluated."""
         positions = self.table.get(key)
         if positions is None:
             positions = self.table[key] = self.evaluate(build())
@@ -273,36 +268,35 @@ def _fresh_clone(ground: frozenset[AltId]) -> str:
 # Each axiom is defined once, as a generator over the cases of one order,
 # and states which orders it speaks of: it yields nothing for any other.
 # The caller (``_check``, or ``replay_witness``) passes in the order, its
-# code and its position ids ``base``; a definition asks ``positions`` for
-# the ids of each order it derives from the base, by that order's code, and
+# code and its position pairs ``base``; a definition asks ``positions`` for
+# the pairs of each order it derives from the base, by that order's code, and
 # builds the derived order itself only for ``positions`` to evaluate or for
 # a witness.  Orders with a clone have no code: they are built and
 # evaluated every time.  The base order's labels, in label order, are
-# ``positions.alternatives[order.n]``.  Definitions compare ids with
-# ``!=`` only, and read ``positions.values`` only for a witness;
-# sequentiality compares values with the order's own tier numbers 1..n,
-# never with another operator, and monotonicity ranks the ids within each
-# order.  A case yields None when it holds, otherwise its first violating
-# comparison as (transformed, subject, other, before, after, detail),
-# where ``transformed`` is the order compared against, or None when the
-# case needs only the base order, and ``before`` and ``after`` are
-# ``Fraction``s.  The checks, their case counts and ``replay_witness`` are
-# all views of these generators.
+# ``positions.alternatives[order.n]``.  Definitions compare pairs with
+# ``!=``, and build a ``Fraction`` from a pair only for a witness;
+# sequentiality compares pairs with the order's own tier numbers 1..n,
+# never with another operator, and monotonicity cross-multiplies, which is
+# exact because denominators are positive.  A case yields None when it
+# holds, otherwise its first violating comparison as (transformed,
+# subject, other, before, after, detail), where ``transformed`` is the
+# order compared against, or None when the case needs only the base order,
+# and ``before`` and ``after`` are ``Fraction``s.  The checks, their case
+# counts and ``replay_witness`` are all views of these generators.
 
 Violation = tuple[WeakOrder | None, AltId, AltId | None, Fraction, Fraction, str]
-Definition = Callable[[_Positions, WeakOrder, Code, Ids], Iterator[Violation | None]]
+Definition = Callable[[_Positions, WeakOrder, Code, Pairs], Iterator[Violation | None]]
 
 
 def _equality_cases(
-    positions: _Positions, order: WeakOrder, code: Code, base: Ids
+    positions: _Positions, order: WeakOrder, code: Code, base: Pairs
 ) -> Iterator[Violation | None]:
-    values = positions.values
     alternatives = positions.alternatives[order.n]
     for tier in order.tiers:
         for a, b in itertools.combinations([alt for alt in alternatives if alt in tier], 2):
             if base[a] != base[b]:
                 detail = f"tied alternatives {a} and {b} in [{order}] got distinct positions"
-                yield None, a, b, values[base[a]], values[base[b]], detail
+                yield None, a, b, Fraction(*base[a]), Fraction(*base[b]), detail
             else:
                 yield None
 
@@ -322,9 +316,8 @@ def _transpositions(alternatives: tuple[AltId, ...]) -> Iterator[tuple[AltId, Al
 
 
 def _neutrality_cases(
-    positions: _Positions, order: WeakOrder, code: Code, base: Ids
+    positions: _Positions, order: WeakOrder, code: Code, base: Pairs
 ) -> Iterator[Violation | None]:
-    values = positions.values
     alternatives = positions.alternatives[order.n]
     for left, right in _transpositions(alternatives):
         swap = {left: right, right: left}
@@ -340,51 +333,48 @@ def _neutrality_cases(
             image = swap.get(alt, alt)
             if moved[image] != base[alt]:
                 detail = f"relabelling {alt}->{image} changed the transported position"
-                yield relabelled(), alt, image, values[base[alt]], values[moved[image]], detail
+                yield relabelled(), alt, image, Fraction(*base[alt]), Fraction(*moved[image]), detail
                 break
         else:
             yield None
 
 
 def _sequentiality_cases(
-    positions: _Positions, order: WeakOrder, code: Code, base: Ids
+    positions: _Positions, order: WeakOrder, code: Code, base: Pairs
 ) -> Iterator[Violation | None]:
     if not order.is_linear:
         return
-    values, slot = positions.values, positions.slot
+    slot = positions.slot
     for alt in positions.alternatives[order.n]:
         # On a linear order the tier index is the place, counted from 0.
         expected = code[slot[alt]] + 1
-        value = values[base[alt]]
-        if value != expected:
+        if base[alt] != (expected, 1):
             detail = f"linear order [{order}] should place {alt} at {expected}"
-            yield None, alt, None, Fraction(expected), value, detail
+            yield None, alt, None, Fraction(expected), Fraction(*base[alt]), detail
             return
     yield None
 
 
 def _truncation_cases(
-    positions: _Positions, order: WeakOrder, code: Code, base: Ids
+    positions: _Positions, order: WeakOrder, code: Code, base: Pairs
 ) -> Iterator[Violation | None]:
     if order.num_tiers < 2:
         return
     bottom = order.num_tiers - 1
-    values = positions.values
     after = positions.at(tuple(-1 if t == bottom else t for t in code), order.truncate_bottom)
     dropped = order.tiers[bottom]
     for alt in (alt for alt in positions.alternatives[order.n] if alt not in dropped):
         if after[alt] != base[alt]:
             detail = f"dropping the bottom tier of [{order}] moved {alt}"
-            yield order.truncate_bottom(), alt, None, values[base[alt]], values[after[alt]], detail
+            yield order.truncate_bottom(), alt, None, Fraction(*base[alt]), Fraction(*after[alt]), detail
             return
     yield None
 
 
 def _duplication_cases(
-    positions: _Positions, order: WeakOrder, code: Code, base: Ids
+    positions: _Positions, order: WeakOrder, code: Code, base: Pairs
 ) -> Iterator[Violation | None]:
     clone = positions.clone
-    values = positions.values
     alternatives = positions.alternatives[order.n]
     for pattern in alternatives:
         extended = order.duplicate(pattern, clone)
@@ -392,20 +382,19 @@ def _duplication_cases(
         for alt in alternatives:
             if moved[alt] != base[alt]:
                 detail = f"cloning {pattern} in [{order}] moved {alt}"
-                yield extended, alt, None, values[base[alt]], values[moved[alt]], detail
+                yield extended, alt, None, Fraction(*base[alt]), Fraction(*moved[alt]), detail
                 break
         else:
             if moved[clone] != moved[pattern]:
                 detail = f"clone of {pattern} in [{order}] missed its pattern's position"
-                yield extended, clone, pattern, values[moved[pattern]], values[moved[clone]], detail
+                yield extended, clone, pattern, Fraction(*moved[pattern]), Fraction(*moved[clone]), detail
             else:
                 yield None
 
 
 def _ud_independency_cases(
-    positions: _Positions, order: WeakOrder, code: Code, base: Ids
+    positions: _Positions, order: WeakOrder, code: Code, base: Pairs
 ) -> Iterator[Violation | None]:
-    values = positions.values
     alternatives = positions.alternatives[order.n]
     for mover in alternatives:
         source = order.tier_index_of(mover)
@@ -423,32 +412,32 @@ def _ud_independency_cases(
                         f"moving {mover} from tier {source} to tier {target}"
                         f" in [{order}] changed {alt}"
                     )
-                    yield order.ud_move(mover, target), alt, mover, values[base[alt]], values[moved[alt]], detail
+                    yield order.ud_move(mover, target), alt, mover, Fraction(*base[alt]), Fraction(*moved[alt]), detail
                     break
             else:
                 yield None
 
 
 def _monotonicity_cases(
-    positions: _Positions, order: WeakOrder, code: Code, base: Ids
+    positions: _Positions, order: WeakOrder, code: Code, base: Pairs
 ) -> Iterator[Violation | None]:
-    # Distinct ids hold distinct values, so ranking the order's few ids by
-    # value once decides every comparison between its positions.
-    values, slot = positions.values, positions.slot
-    rank = {index: r for r, index in enumerate(sorted(set(base.values()), key=values.__getitem__))}
+    slot = positions.slot
     alternatives = positions.alternatives[order.n]
     for a in alternatives:
+        a_num, a_den = base[a]
         for b in alternatives:
             if a == b:
                 continue
+            b_num, b_den = base[b]
             weakly = code[slot[a]] <= code[slot[b]]
-            le = rank[base[a]] <= rank[base[b]]
+            # Denominators are positive, so cross-multiplying keeps the order.
+            le = a_num * b_den <= b_num * a_den
             if weakly != le:
                 detail = (
                     f"in [{order}]: {a} R {b} is {weakly} but "
                     f"position({a}) <= position({b}) is {le}"
                 )
-                yield None, a, b, values[base[a]], values[base[b]], detail
+                yield None, a, b, Fraction(*base[a]), Fraction(*base[b]), detail
             else:
                 yield None
 

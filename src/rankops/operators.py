@@ -167,7 +167,8 @@ def sequential(order: WeakOrder) -> PositionAssignment:
     """The unique 1..n assignment on a linear order, best first."""
     if not order.is_linear:
         raise NotLinear("sequential positions require a linear order")
-    return _by_tier(order, lambda depth, above, size: depth)
+    # On a linear order every tier is one alternative, numbered 1..n.
+    return dense(order)
 
 
 def dense(order: WeakOrder) -> PositionAssignment:

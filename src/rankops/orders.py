@@ -321,7 +321,7 @@ class WeakOrder:
 
 def from_tiers(tier_list: Sequence[Iterable[AltId]]) -> WeakOrder:
     """Build a weak order from its tiers, given best tier first."""
-    return WeakOrder(tuple(frozenset(tier) for tier in tier_list))
+    return WeakOrder(tuple(tier_list))
 
 
 def from_pairs(

@@ -27,6 +27,7 @@ from rankops import (
     enumerate_weak_orders,
     from_tiers,
     get_operator,
+    make_affine_operator,
     ordered_bell,
     replay_witness,
     run_axiom_reports,
@@ -355,12 +356,10 @@ def test_clone_orders_are_always_evaluated():
     assert replay_witness(op, Axiom.DUPLICATION, report.witness)
 
 
-@pytest.mark.parametrize(
-    "axiom",
-    [Axiom.EQUALITY, Axiom.NEUTRALITY, Axiom.TRUNCATION, Axiom.DUPLICATION, Axiom.UD_INDEPENDENCY],
-)
+@pytest.mark.parametrize("axiom", AXIOMS)
 def test_equality_type_cells_compare_no_fractions(monkeypatch, axiom):
-    """These cells compare position ids; only a witness reads the values."""
+    """Every cell compares exact (numerator, denominator) pairs, monotonicity
+    by cross-multiplying; only a witness builds a ``Fraction``."""
     calls = Counter()
     for name in ("__eq__", "__lt__", "__le__"):
         original = getattr(F, name)
@@ -373,6 +372,25 @@ def test_equality_type_cells_compare_no_fractions(monkeypatch, axiom):
     report = check(REGISTRY["dense"], axiom, 4)
     assert report.verdict is Verdict.PASS
     assert calls == Counter()
+
+
+def test_large_numerators_and_denominators_compare_exactly():
+    """Positions far beyond the registry's: 10**40 + 1/10**40 is not 1, and
+    a constant 5 is not monotone, in the marked and the unmarked scan."""
+    tiny_slope = make_affine_operator(F(1, 10**40), 10**40)
+    constant = make_affine_operator(0, 5)
+    for op, verdicts in ((tiny_slope, "PPFPPPP"), (constant, "PPFPPPF")):
+        copy = PositionOperator(op.name, op.domain, op.fn)
+        reports = {axiom: check(op, axiom, 4) for axiom in Axiom}
+        assert [reports[axiom].verdict for axiom in Axiom] == [LETTER[v] for v in verdicts]
+        assert reports == {axiom: check(copy, axiom, 4) for axiom in Axiom}
+    witness = check(tiny_slope, Axiom.SEQUENTIALITY, 4).witness
+    assert witness.base == from_tiers([["x1"]])
+    assert (witness.before, witness.after) == (1, 10**40 + F(1, 10**40))
+    report = check(constant, Axiom.MONOTONICITY, 4)
+    assert report.cases_checked == 2
+    assert report.witness.base == from_tiers([["x1"], ["x2"]])
+    assert (report.witness.before, report.witness.after) == (5, 5)
 
 
 def test_a_run_evaluates_each_order_once_per_operator(monkeypatch):
