@@ -4,9 +4,13 @@ Seven properties are checked for every registered operator by brute force
 over all weak orders on ground sets x1..xn up to a configurable size:
 
 * equality          - tied alternatives receive equal positions
-* neutrality        - positions transport along every permutation of
-                      x1..xn (relabellings onto other label sets, such
-                      as {x1, x2} -> {x1, x3}, lie outside the universe)
+* neutrality        - positions are a function of the order's tier-size
+                      shape and the tier: each alternative matches the
+                      first member of its tier in its shape's canonical
+                      order, which proves them invariant under every
+                      permutation of x1..xn (maps onto other label sets,
+                      such as {x1, x2} -> {x1, x3}, lie outside the
+                      universe)
 * sequentiality     - linear orders get exactly 1..n
 * truncation        - deleting the bottom tier moves no survivor
 * duplication       - cloning an alternative into its tier moves nobody,
@@ -40,9 +44,9 @@ rules: each gives a tier's members one value read from the order's tier
 sizes alone.  For these, every cell but neutrality runs its definition on
 the first order of each tier-size shape only, and counts that order's
 cases once more for each later order of the shape.  This is sound because
-a relabelling of x1..xn that fixes the clone label carries every case of
-an order, with its derived orders, onto a case of the relabelled order
-with the same outcome, so same-shape orders hold or fail alike and have
+a permutation of x1..xn that fixes the clone label carries every case of
+an order, with its derived orders, onto a case of the permuted order with
+the same outcome, so same-shape orders hold or fail alike and have
 equally many cases; and the scan meets each shape's first order first, so
 it reports the first violation a full scan would.  Neutrality is the claim
 that labels do not matter, so it scans every order, and so does every
@@ -75,7 +79,7 @@ import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .orders import (
     AltId,
@@ -178,10 +182,11 @@ Pair = tuple[int, int]
 Pairs = dict[AltId, Pair]
 
 
-def _code(order: WeakOrder, slot: Mapping[AltId, int]) -> Code:
-    """The tier index of each label ``slot`` numbers, -1 where it is absent."""
+def _code(tiers: Iterable[Iterable[AltId]], slot: Mapping[AltId, int]) -> Code:
+    """The tier index of each label ``slot`` numbers in the order with these
+    ``tiers``, -1 where it is absent."""
     code = [-1] * len(slot)
-    for index, tier in enumerate(order.tiers):
+    for index, tier in enumerate(tiers):
         for alt in tier:
             code[slot[alt]] = index
     return tuple(code)
@@ -199,7 +204,9 @@ class _Positions:
 
     A position is handed out as its (numerator, denominator) pair, and
     ``pairs`` keeps one copy of each distinct pair for the operator, so
-    equal positions share one tuple in the table.
+    equal positions share one tuple in the table.  ``canonical`` maps a
+    tier-size shape to the code and the tiers of its canonical order, for
+    neutrality.
     """
 
     op: PositionOperator
@@ -208,6 +215,9 @@ class _Positions:
     alternatives: Mapping[int, tuple[AltId, ...]]
     table: dict[Code, Pairs] = field(default_factory=dict)
     pairs: dict[Pair, Pair] = field(default_factory=dict)
+    canonical: dict[tuple[int, ...], tuple[Code, tuple[tuple[AltId, ...], ...]]] = field(
+        default_factory=dict
+    )
 
     def evaluate(self, order: WeakOrder) -> Pairs:
         """Each alternative's position in ``order`` as its pair, untabled."""
@@ -242,7 +252,7 @@ class _Universe:
             n: tuple(sorted(engine_ground(n), key=label_key)) for n in range(1, max_n + 1)
         }
         self.orders = [
-            (order, _code(order, self.slot))
+            (order, _code(order.tiers, self.slot))
             for n in range(1, max_n + 1)
             for order in enumerate_weak_orders(engine_ground(n))
         ]
@@ -301,42 +311,52 @@ def _equality_cases(
                 yield None
 
 
-def _transpositions(alternatives: tuple[AltId, ...]) -> Iterator[tuple[AltId, AltId]]:
-    """The n - 1 adjacent transpositions of ``alternatives``, as the pairs
-    they swap.
-
-    Passing them is a proof of neutrality over all of S_n, not a sample.
-    The checker quantifies over every order on the ground set, so the
-    relabellings an operator respects are closed under composition: if op
-    respects sigma and tau on every order R and alternative x, then
-    op(sigma tau R)(sigma tau x) = op(tau R)(tau x) = op(R)(x).  Adjacent
-    transpositions generate S_n.
-    """
-    return zip(alternatives, alternatives[1:])
-
-
 def _neutrality_cases(
     positions: _Positions, order: WeakOrder, code: Code, base: Pairs
 ) -> Iterator[Violation | None]:
+    """One case per order: each alternative's position equals that of the
+    first member of its tier in the canonical order of the order's shape.
+
+    The canonical order C of a tier-size shape gives its tiers the
+    alternatives in label order, top tier first.  Passing this case on every
+    order is a proof of neutrality over all of S_n, not a sample:
+
+    * neutral => the case holds: a bijection of the labels that maps each
+      tier of R onto the tier of C with the same index is a permutation
+      sigma with sigma R = C.  Choose one with sigma x = the first member
+      of x's tier in C; then op(R)(x) = op(C)(sigma x).
+    * the case holds on every order => neutral: for a permutation sigma,
+      sigma R has R's shape and sigma x sits in the tier of sigma R with
+      x's index, so op(R)(x) and op(sigma R)(sigma x) both equal op(C) at
+      the first member of that tier of C.
+
+    On R = C itself the same comparison checks that tied alternatives get
+    equal positions, so no separate tie check is needed.  C is a base order
+    and the first of its shape in the scan, so the run's table already
+    holds its positions; C is built only for a witness, or when a table
+    lacks it, as ``replay_witness``'s own table does.
+    """
     alternatives = positions.alternatives[order.n]
-    for left, right in _transpositions(alternatives):
-        swap = {left: right, right: left}
-
-        def relabelled() -> WeakOrder:
-            return order.relabel({alt: swap.get(alt, alt) for alt in alternatives})
-
-        key = list(code)
-        i, j = positions.slot[left], positions.slot[right]
-        key[i], key[j] = key[j], key[i]
-        moved = positions.at(tuple(key), relabelled)
-        for alt in alternatives:
-            image = swap.get(alt, alt)
-            if moved[image] != base[alt]:
-                detail = f"relabelling {alt}->{image} changed the transported position"
-                yield relabelled(), alt, image, Fraction(*base[alt]), Fraction(*moved[image]), detail
-                break
-        else:
-            yield None
+    shape = tuple(map(len, order.tiers))
+    canonical = positions.canonical.get(shape)
+    if canonical is None:
+        ends = itertools.accumulate(shape)
+        tiers = tuple(alternatives[end - size : end] for size, end in zip(shape, ends))
+        canonical = positions.canonical[shape] = (_code(tiers, positions.slot), tiers)
+    key, tiers = canonical
+    target = positions.at(key, lambda: WeakOrder(tiers))
+    slot = positions.slot
+    for alt in alternatives:
+        first = tiers[code[slot[alt]]][0]
+        if target[first] != base[alt]:
+            canonical_order = WeakOrder(tiers)
+            detail = (
+                f"{alt} in [{order}] and {first}, first of the same tier in"
+                f" [{canonical_order}], got distinct positions"
+            )
+            yield canonical_order, alt, first, Fraction(*base[alt]), Fraction(*target[first]), detail
+            return
+    yield None
 
 
 def _sequentiality_cases(
@@ -467,8 +487,8 @@ def _check(op: PositionOperator, axiom: Axiom, universe: _Universe) -> AxiomRepo
     For an operator marked as a tier rule, and any axiom but neutrality,
     the definition runs on the first order of each tier-size shape alone;
     every later order of that shape adds the first one's case count.  Such
-    an operator gives a relabelled order the relabelled positions, and
-    every derived order, the clone's included, relabels along with its
+    an operator gives a permuted order the permuted positions, and every
+    derived order, the clone's included, is permuted along with its
     base, so an order's cases hold or fail exactly as its shape's first
     order's do, and are as many.  That first order comes first in the
     scan, so the first violation, its count and its witness are the ones a
@@ -514,7 +534,9 @@ def check(op: PositionOperator, axiom: Axiom, max_n: int) -> AxiomReport:
 
     * equality: an (order, unordered tied pair).  Linear-only operators
       are checked over linear orders, where the condition is vacuous.
-    * neutrality: an (order, adjacent transposition) pair.
+    * neutrality: an order.  Its alternatives are compared with the first
+      member of their tier in the canonical order of its tier-size shape,
+      whose tiers take x1..xn in label order, top tier first.
     * sequentiality: a linear order; linear orders sit inside every
       operator's domain.
     * truncation: an order with at least two tiers; one-tier orders have
@@ -554,7 +576,7 @@ def replay_witness(op: PositionOperator, axiom: Axiom, witness: Witness) -> bool
     alternatives = tuple(base.sorted_alternatives())
     slot = {alt: index for index, alt in enumerate(alternatives)}
     positions = _Positions(op, slot, _fresh_clone(base.ground), {base.n: alternatives})
-    code = _code(base, slot)
+    code = _code(base.tiers, slot)
     claim = (witness.transformed, witness.subject, witness.other, witness.before, witness.after)
     return any(
         violation is not None and violation[:5] == claim
@@ -697,7 +719,7 @@ def _expected_matrix() -> dict[tuple[str, Axiom], ExpectedCell]:
         row(
             "list-index",
             (F, theory, "tied alternatives keep their distinct label values"),
-            (F, theory, "positions follow labels, so relabelling breaks transport"),
+            (F, theory, "positions follow labels, so a permutation breaks transport"),
             (F, theory, "the label order need not match the ranking"),
             (P, theory, "label values ignore which alternatives remain"),
             (F, run, "the clone's own label value differs from its pattern's"),

@@ -371,8 +371,8 @@ def _say(line: str) -> None:
 
 def _cmd_verify(args: argparse.Namespace, stdout: TextIO | None) -> int:
     # Below three alternatives some expected failures have no counterexample yet.
-    if not 3 <= args.max_n <= 6:
-        raise InputError(f"--max-n must be between 3 and 6, got {args.max_n}")
+    if not 3 <= args.max_n <= 7:
+        raise InputError(f"--max-n must be between 3 and 7, got {args.max_n}")
     # Open the report first, so a bad path fails before the engine runs.
     report = (
         open(args.report, "w", encoding="utf-8", newline="\n")
@@ -436,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify = commands.add_parser(
         "verify", help="check all operators against the expected property matrix"
     )
-    verify.add_argument("--max-n", type=int, default=4, help="universe bound (3..6)")
+    verify.add_argument("--max-n", type=int, default=4, help="universe bound (3..7)")
     verify.add_argument("--report", default=None, help="write the JSON report here")
     verify.set_defaults(handler=_cmd_verify)
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 from collections import Counter
@@ -19,6 +20,7 @@ from rankops import (
     PositionAssignment,
     PositionOperator,
     Verdict,
+    WeakOrder,
     Witness,
     build_verification_document,
     check,
@@ -27,6 +29,7 @@ from rankops import (
     enumerate_weak_orders,
     from_tiers,
     get_operator,
+    label_key,
     make_affine_operator,
     ordered_bell,
     replay_witness,
@@ -218,9 +221,9 @@ def test_case_counts_match_analytic_values():
     # exactly one single-tier order exists per ground size
     assert trunc.cases_checked == sum(counts[n] - 1 for n in range(1, 6)) == 628
 
-    # one case per adjacent transposition of x1..xn
+    # one case per order
     neutral = check(REGISTRY["dense"], Axiom.NEUTRALITY, 4)
-    assert neutral.cases_checked == sum(counts[n] * (n - 1) for n in range(1, 5)) == 254
+    assert neutral.cases_checked == sum(counts[n] for n in range(1, 5)) == 92
 
     mono = check(REGISTRY["dense"], Axiom.MONOTONICITY, 4)
     assert mono.cases_checked == sum(counts[n] * n * (n - 1) for n in range(1, 5)) == 984
@@ -241,14 +244,90 @@ def test_case_counts_match_analytic_values():
     assert ud.cases_checked == expected_moves
 
 
-def test_neutrality_adjacent_transpositions_at_five():
-    """The n - 1 adjacent transpositions generate every relabelling, so
-    checking them on every order proves neutrality at each size."""
+def test_neutrality_one_case_per_order_at_five():
+    """Comparing each order with its shape's canonical order proves
+    neutrality at each size, one case per order in the domain."""
     report = check(REGISTRY["dense"], Axiom.NEUTRALITY, 5)
     assert report.verdict is Verdict.PASS
-    assert report.cases_checked == sum(ordered_bell(n) * (n - 1) for n in range(1, 6)) == 2418
+    assert report.cases_checked == sum(ordered_bell(n) for n in range(1, 6)) == 633
     linear = check(REGISTRY["sequential"], Axiom.NEUTRALITY, 5)
-    assert linear.cases_checked == sum(math.factorial(n) * (n - 1) for n in range(1, 6)) == 566
+    assert linear.cases_checked == sum(math.factorial(n) for n in range(1, 6)) == 153
+
+
+def _x3_on_top(order):
+    shift = 1 if "x3" in order.tiers[0] else 0
+    return _by_tier(order, lambda depth, above, size: depth + shift)
+
+
+def _tier_members_by_label(order):
+    """Dense rank plus a tie-break by label inside each tier."""
+    return PositionAssignment(
+        {
+            alt: F(depth) + F(index, len(tier) + 1)
+            for depth, tier in enumerate(order.tiers, start=1)
+            for index, alt in enumerate(sorted(tier, key=label_key))
+        }
+    )
+
+
+def _x2_over_x1_shifted(order):
+    """Dense rank, shifted by one on the linear orders that put x2 above x1
+    and on no other, so it agrees with dense on every canonical order."""
+    shift = 0
+    if order.is_linear and {"x1", "x2"} <= order.ground:
+        shift = int(order.tier_index_of("x2") < order.tier_index_of("x1"))
+    return _by_tier(order, lambda depth, above, size: depth + shift)
+
+
+LABEL_RULES = {
+    "x3-on-top": _x3_on_top,
+    "tier-members-by-label": _tier_members_by_label,
+    "x2-over-x1-shifted": _x2_over_x1_shifted,
+}
+NEUTRALITY_SUBJECTS = {
+    **REGISTRY,
+    **{
+        f"{name}-{kind}": make(name, fn)
+        for name, fn in LABEL_RULES.items()
+        for kind, make in (
+            ("marked", _tier_rule_operator),
+            ("unmarked", lambda name, fn: PositionOperator(name, Domain.ALL_WEAK_ORDERS, fn)),
+        )
+    },
+}
+
+
+def _neutral_at(op, n) -> bool:
+    """Neutrality on the orders on x1..xn by its definition: every
+    permutation sigma of x1..xn gives op(sigma R)(sigma x) = op(R)(x)."""
+    ground = engine_ground(n)
+    for order in enumerate_weak_orders(ground):
+        if not op.in_domain(order):
+            continue
+        positions = op(order)
+        for image in itertools.permutations(ground):
+            sigma = dict(zip(ground, image))
+            moved = op(order.relabel(sigma))
+            if any(moved[sigma[alt]] != positions[alt] for alt in ground):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("name", sorted(NEUTRALITY_SUBJECTS))
+def test_neutrality_agrees_with_every_permutation(name):
+    op = NEUTRALITY_SUBJECTS[name]
+    neutral = True
+    for n in range(1, 5):
+        neutral = neutral and _neutral_at(op, n)
+        if n < 2:
+            continue
+        report = check(op, Axiom.NEUTRALITY, n)
+        assert report.verdict is (Verdict.PASS if neutral else Verdict.FAIL), n
+        if not neutral:
+            assert replay_witness(op, Axiom.NEUTRALITY, report.witness), n
+    if name.endswith("-marked"):
+        # a marked rule that reads a label is still caught
+        assert not neutral
 
 
 # ----- witness soundness and determinism ------------------------------------------
@@ -312,9 +391,9 @@ def test_verdicts_stable_between_bounds(reports3, reports4):
 # SHA-256 of the report ``verify --max-n N`` writes.  Any change to a
 # verdict, a case count, a witness or the serialisation shows here.
 REPORT_SHA256 = {
-    3: "a338899f659ddae91016630a9e7dd4f594700225e14d29ad5ba206e0152d9489",
-    4: "e0c1125a07dd545dc21b204eed30878f9711d473b4e23156628652c63e6198a6",
-    5: "ab6820a1ec5094203013a8014ddc8e92f18c3eda6a0dea772c536b867d3ea260",
+    3: "d7a807add60745713090bc03c4206af3560ef16be387ea89c922ce511f3aa8af",
+    4: "6c630c1635db6766964d515357adbd9361c4f64054f2b1f1b72e28433c37276e",
+    5: "62fcc2c292b1799f44c0917b76ed3cd6971a7f70237e3adfe8cdd2012ffb3310",
 }
 
 
@@ -454,9 +533,13 @@ def test_neutrality_scans_every_order_and_other_cells_one_per_shape(monkeypatch)
         evaluated.add(order)
         return call(op, order)
 
+    def relabel(order, mapping):
+        raise AssertionError(f"a passing neutrality cell built a relabelled [{order}]")
+
     monkeypatch.setattr(PositionOperator, "__call__", recorded)
+    monkeypatch.setattr(WeakOrder, "relabel", relabel)
     universe = set(support.orders_up_to(4))
-    check(REGISTRY["dense"], Axiom.NEUTRALITY, 4)
+    assert check(REGISTRY["dense"], Axiom.NEUTRALITY, 4).verdict is Verdict.PASS
     assert universe <= evaluated
     evaluated.clear()
     check(REGISTRY["dense"], Axiom.MONOTONICITY, 4)
@@ -471,16 +554,11 @@ def test_a_label_dependent_rule_is_scanned_in_full():
     """A rule that looks at a label breaks what the mark promises: checked
     on x1 > x2 > x3 alone it passes sequentiality, so only a full scan finds
     the linear order with x3 on top."""
-
-    def x3_on_top(order):
-        shift = 1 if "x3" in order.tiers[0] else 0
-        return _by_tier(order, lambda depth, above, size: depth + shift)
-
-    unmarked = PositionOperator("x3-on-top", Domain.ALL_WEAK_ORDERS, x3_on_top)
+    unmarked = PositionOperator("x3-on-top", Domain.ALL_WEAK_ORDERS, _x3_on_top)
     report = check(unmarked, Axiom.SEQUENTIALITY, 3)
     assert report.verdict is Verdict.FAIL
     assert report.witness.base.tiers[0] == frozenset({"x3"})
-    marked = _tier_rule_operator("x3-on-top", x3_on_top)
+    marked = _tier_rule_operator("x3-on-top", _x3_on_top)
     assert check(marked, Axiom.SEQUENTIALITY, 3).verdict is Verdict.PASS
 
 

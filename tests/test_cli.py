@@ -275,8 +275,8 @@ def test_main_verify_bounds(capsys):
     # at two alternatives some expected failures cannot show yet
     assert main(["verify", "--max-n", "2"]) == 2
     capsys.readouterr()
-    assert main(["verify", "--max-n", "7"]) == 2
-    capsys.readouterr()
+    assert main(["verify", "--max-n", "8"]) == 2
+    assert capsys.readouterr().err == "error: --max-n must be between 3 and 7, got 8\n"
 
 
 def test_main_verify_unwritable_report_is_input_error(tmp_path, monkeypatch, capsys):
