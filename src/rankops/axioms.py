@@ -204,9 +204,8 @@ class _Positions:
 
     A position is handed out as its (numerator, denominator) pair, and
     ``pairs`` keeps one copy of each distinct pair for the operator, so
-    equal positions share one tuple in the table.  ``canonical`` maps a
-    tier-size shape to the code and the tiers of its canonical order, for
-    neutrality.
+    equal positions share one tuple in the table.  A definition reads only
+    ``slot``, ``clone``, ``alternatives``, ``at`` and ``evaluate``.
     """
 
     op: PositionOperator
@@ -215,9 +214,6 @@ class _Positions:
     alternatives: Mapping[int, tuple[AltId, ...]]
     table: dict[Code, Pairs] = field(default_factory=dict)
     pairs: dict[Pair, Pair] = field(default_factory=dict)
-    canonical: dict[tuple[int, ...], tuple[Code, tuple[tuple[AltId, ...], ...]]] = field(
-        default_factory=dict
-    )
 
     def evaluate(self, order: WeakOrder) -> Pairs:
         """Each alternative's position in ``order`` as its pair, untabled."""
@@ -238,8 +234,8 @@ class _Positions:
 
 
 class _Universe:
-    """Every weak order on x1..xn, n = 1..max_n, coded, the run's clone
-    label, and the position table of the operator checked last."""
+    """Every weak order on x1..xn, n = 1..max_n, with its code and its shape,
+    the run's clone label, and the position table of the operator checked last."""
 
     def __init__(self, max_n: int) -> None:
         if max_n < 2:
@@ -251,10 +247,13 @@ class _Universe:
         self.alternatives = {
             n: tuple(sorted(engine_ground(n), key=label_key)) for n in range(1, max_n + 1)
         }
+        # A shape is its tier sizes, one tuple per shape: 127 for 52,609 orders at n = 7.
+        shapes: dict[tuple[int, ...], tuple[int, ...]] = {}
         self.orders = [
-            (order, _code(order.tiers, self.slot))
+            (order, _code(order.tiers, self.slot), shapes.setdefault(shape, shape))
             for n in range(1, max_n + 1)
             for order in enumerate_weak_orders(engine_ground(n))
+            for shape in (tuple(map(len, order.tiers)),)
         ]
         self._positions: _Positions | None = None
 
@@ -277,30 +276,31 @@ def _fresh_clone(ground: frozenset[AltId]) -> str:
 #
 # Each axiom is defined once, as a generator over the cases of one order,
 # and states which orders it speaks of: it yields nothing for any other.
-# The caller (``_check``, or ``replay_witness``) passes in the order, its
-# code and its position pairs ``base``; a definition asks ``positions`` for
-# the pairs of each order it derives from the base, by that order's code, and
-# builds the derived order itself only for ``positions`` to evaluate or for
-# a witness.  Orders with a clone have no code: they are built and
-# evaluated every time.  The base order's labels, in label order, are
-# ``positions.alternatives[order.n]``.  Definitions compare pairs with
-# ``!=``, and build a ``Fraction`` from a pair only for a witness;
-# sequentiality compares pairs with the order's own tier numbers 1..n,
-# never with another operator, and monotonicity cross-multiplies, which is
-# exact because denominators are positive.  A case yields None when it
-# holds, otherwise its first violating comparison as (transformed,
-# subject, other, before, after, detail), where ``transformed`` is the
-# order compared against, or None when the case needs only the base order,
-# and ``before`` and ``after`` are ``Fraction``s.  The checks, their case
-# counts and ``replay_witness`` are all views of these generators.
+# The caller (``_check``, or ``replay_witness``) passes in only the order
+# and its code.  For an order it speaks of, a definition asks ``positions``
+# for the order's pairs ``base``, and for those of each order it derives
+# from it, each by its code; it builds a derived order itself only for
+# ``positions`` to evaluate or for a witness.  Orders with a clone have no
+# code: they are built and evaluated every time.  The base order's labels,
+# in label order, are ``positions.alternatives[order.n]``.  Definitions
+# compare pairs with ``!=``, and build a ``Fraction`` from a pair only for a
+# witness; sequentiality compares pairs with the order's own tier numbers
+# 1..n, never with another operator, and monotonicity cross-multiplies,
+# which is exact because denominators are positive.  A case yields None when
+# it holds, otherwise its first violating comparison as (transformed,
+# subject, other, before, after, detail), where ``transformed`` is the order
+# compared against, or None when the case needs only the base order, and
+# ``before`` and ``after`` are ``Fraction``s.  The checks, their case counts
+# and ``replay_witness`` are all views of these generators.
 
 Violation = tuple[WeakOrder | None, AltId, AltId | None, Fraction, Fraction, str]
-Definition = Callable[[_Positions, WeakOrder, Code, Pairs], Iterator[Violation | None]]
+Definition = Callable[[_Positions, WeakOrder, Code], Iterator[Violation | None]]
 
 
 def _equality_cases(
-    positions: _Positions, order: WeakOrder, code: Code, base: Pairs
+    positions: _Positions, order: WeakOrder, code: Code
 ) -> Iterator[Violation | None]:
+    base = positions.at(code, lambda: order)
     alternatives = positions.alternatives[order.n]
     for tier in order.tiers:
         for a, b in itertools.combinations([alt for alt in alternatives if alt in tier], 2):
@@ -312,7 +312,7 @@ def _equality_cases(
 
 
 def _neutrality_cases(
-    positions: _Positions, order: WeakOrder, code: Code, base: Pairs
+    positions: _Positions, order: WeakOrder, code: Code
 ) -> Iterator[Violation | None]:
     """One case per order: each alternative's position equals that of the
     first member of its tier in the canonical order of the order's shape.
@@ -336,16 +336,14 @@ def _neutrality_cases(
     holds its positions; C is built only for a witness, or when a table
     lacks it, as ``replay_witness``'s own table does.
     """
+    base = positions.at(code, lambda: order)
     alternatives = positions.alternatives[order.n]
-    shape = tuple(map(len, order.tiers))
-    canonical = positions.canonical.get(shape)
-    if canonical is None:
-        ends = itertools.accumulate(shape)
-        tiers = tuple(alternatives[end - size : end] for size, end in zip(shape, ends))
-        canonical = positions.canonical[shape] = (_code(tiers, positions.slot), tiers)
-    key, tiers = canonical
-    target = positions.at(key, lambda: WeakOrder(tiers))
     slot = positions.slot
+    tiers, end = [], 0
+    for tier in order.tiers:
+        tiers.append(alternatives[end : end + len(tier)])
+        end += len(tier)
+    target = positions.at(_code(tiers, slot), lambda: WeakOrder(tiers))
     for alt in alternatives:
         first = tiers[code[slot[alt]]][0]
         if target[first] != base[alt]:
@@ -360,10 +358,11 @@ def _neutrality_cases(
 
 
 def _sequentiality_cases(
-    positions: _Positions, order: WeakOrder, code: Code, base: Pairs
+    positions: _Positions, order: WeakOrder, code: Code
 ) -> Iterator[Violation | None]:
     if not order.is_linear:
         return
+    base = positions.at(code, lambda: order)
     slot = positions.slot
     for alt in positions.alternatives[order.n]:
         # On a linear order the tier index is the place, counted from 0.
@@ -376,10 +375,11 @@ def _sequentiality_cases(
 
 
 def _truncation_cases(
-    positions: _Positions, order: WeakOrder, code: Code, base: Pairs
+    positions: _Positions, order: WeakOrder, code: Code
 ) -> Iterator[Violation | None]:
     if order.num_tiers < 2:
         return
+    base = positions.at(code, lambda: order)
     bottom = order.num_tiers - 1
     after = positions.at(tuple(-1 if t == bottom else t for t in code), order.truncate_bottom)
     dropped = order.tiers[bottom]
@@ -392,8 +392,9 @@ def _truncation_cases(
 
 
 def _duplication_cases(
-    positions: _Positions, order: WeakOrder, code: Code, base: Pairs
+    positions: _Positions, order: WeakOrder, code: Code
 ) -> Iterator[Violation | None]:
+    base = positions.at(code, lambda: order)
     clone = positions.clone
     alternatives = positions.alternatives[order.n]
     for pattern in alternatives:
@@ -413,8 +414,9 @@ def _duplication_cases(
 
 
 def _ud_independency_cases(
-    positions: _Positions, order: WeakOrder, code: Code, base: Pairs
+    positions: _Positions, order: WeakOrder, code: Code
 ) -> Iterator[Violation | None]:
+    base = positions.at(code, lambda: order)
     alternatives = positions.alternatives[order.n]
     for mover in alternatives:
         source = order.tier_index_of(mover)
@@ -439,8 +441,9 @@ def _ud_independency_cases(
 
 
 def _monotonicity_cases(
-    positions: _Positions, order: WeakOrder, code: Code, base: Pairs
+    positions: _Positions, order: WeakOrder, code: Code
 ) -> Iterator[Violation | None]:
+    base = positions.at(code, lambda: order)
     slot = positions.slot
     alternatives = positions.alternatives[order.n]
     for a in alternatives:
@@ -482,7 +485,8 @@ _NEEDS_TIES = frozenset({Axiom.DUPLICATION, Axiom.UD_INDEPENDENCY})
 
 def _check(op: PositionOperator, axiom: Axiom, universe: _Universe) -> AxiomReport:
     """Run one axiom's definition over every order of ``universe`` and stop
-    at the first violating case.
+    at the first violating case.  Handed only an order and its code, the
+    definition evaluates no order it does not speak of.
 
     For an operator marked as a tier rule, and any axiom but neutrality,
     the definition runs on the first order of each tier-size shape alone;
@@ -507,16 +511,14 @@ def _check(op: PositionOperator, axiom: Axiom, universe: _Universe) -> AxiomRepo
         {} if op._tier_rule and axiom is not Axiom.NEUTRALITY else None
     )
     cases = 0
-    for order, code in universe.orders:
+    for order, code, shape in universe.orders:
         if linear and not order.is_linear:
             continue
-        if by_shape is not None:
-            shape = tuple(map(len, order.tiers))
-            if shape in by_shape:
-                cases += by_shape[shape]
-                continue
-            first = cases
-        for violation in cases_of(positions, order, code, positions.at(code, lambda: order)):
+        if by_shape is not None and shape in by_shape:
+            cases += by_shape[shape]
+            continue
+        first = cases
+        for violation in cases_of(positions, order, code):
             cases += 1
             if violation is not None:
                 witness = Witness(order, *violation)
@@ -576,13 +578,10 @@ def replay_witness(op: PositionOperator, axiom: Axiom, witness: Witness) -> bool
     alternatives = tuple(base.sorted_alternatives())
     slot = {alt: index for index, alt in enumerate(alternatives)}
     positions = _Positions(op, slot, _fresh_clone(base.ground), {base.n: alternatives})
-    code = _code(base.tiers, slot)
     claim = (witness.transformed, witness.subject, witness.other, witness.before, witness.after)
     return any(
         violation is not None and violation[:5] == claim
-        for violation in _DEFINITIONS[axiom](
-            positions, base, code, positions.at(code, lambda: base)
-        )
+        for violation in _DEFINITIONS[axiom](positions, base, _code(base.tiers, slot))
     )
 
 

@@ -38,6 +38,7 @@ from .operators import (
     UnknownOperator,
     _digit_limit,
     _refusal,
+    _refuse_inexact,
     get_operator,
     parse_exact,
     to_fraction,
@@ -299,7 +300,13 @@ def rank_payload(
     tie_epsilon: str | Fraction = 0,
     has_header: bool = False,
 ) -> str:
-    """Pure core of the ``rank`` subcommand: text in, formatted text out."""
+    """Pure core of the ``rank`` subcommand: text in, formatted text out.
+
+    ``tie_epsilon`` is read exactly: as in :func:`to_fraction`, anything
+    but an ``int``, ``Fraction``, ``Decimal`` or ``str`` raises
+    ``TypeError``, a ``float`` and a ``bool`` included.
+    """
+    _refuse_inexact(tie_epsilon)
     if output_format not in ("csv", "json"):
         raise InputError(f"unknown output format {output_format!r}")
     try:

@@ -375,8 +375,7 @@ def to_fraction(value: Rational | Decimal) -> Fraction:
     binary value is not the decimal it prints as) and a ``bool`` included.
     A non-finite ``Decimal`` raises ``ValueError``.
     """
-    if isinstance(value, bool) or not isinstance(value, (int, Fraction, Decimal, str)):
-        raise TypeError(f"not an exact number: {value!r}")
+    _refuse_inexact(value)
     if isinstance(value, str):
         value = parse_exact(value)
     if isinstance(value, Decimal) and not value.is_finite():
@@ -391,6 +390,13 @@ def to_fraction(value: Rational | Decimal) -> Fraction:
     if abs(fraction.numerator) >= bound or fraction.denominator >= bound:
         raise ValueError(f"more digits than Python prints ({limit})")
     return fraction
+
+
+def _refuse_inexact(value: object) -> None:
+    """Raise ``TypeError`` unless ``value`` is an ``int``, ``Fraction``,
+    ``Decimal`` or ``str``, the types a number is read from exactly."""
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction, Decimal, str)):
+        raise TypeError(f"not an exact number: {value!r}")
 
 
 def _digit_limit() -> int:

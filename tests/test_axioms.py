@@ -92,12 +92,6 @@ def test_equality_verdicts():
     assert {witness.before, witness.after} == {F(1), F(2)}
 
 
-def test_neutrality_verdicts():
-    assert check(REGISTRY["dense"], Axiom.NEUTRALITY, 4).verdict is Verdict.PASS
-    assert check(REGISTRY["standard"], Axiom.NEUTRALITY, 4).verdict is Verdict.PASS
-    assert check(REGISTRY["list-index"], Axiom.NEUTRALITY, 3).verdict is Verdict.FAIL
-
-
 def test_sequentiality_verdicts():
     assert check(REGISTRY["quotient"], Axiom.SEQUENTIALITY, 4).verdict is Verdict.PASS
     affine_report = check(REGISTRY["affine"], Axiom.SEQUENTIALITY, 3)
@@ -124,19 +118,43 @@ def test_sequentiality_blames_the_operator_at_fault(monkeypatch):
     assert check(REGISTRY["dense-chain"], Axiom.SEQUENTIALITY, 3).verdict is Verdict.PASS
 
 
+class _FiveMembers:
+    """All that a definition may read of its positions: ``__slots__``
+    admits no other member, and each one is the real table's."""
+
+    __slots__ = ("slot", "clone", "alternatives", "at", "evaluate")
+
+    def __init__(self, positions):
+        for name in self.__slots__:
+            setattr(self, name, getattr(positions, name))
+
+
+def _scan(cases_of, positions, orders):
+    """The cases up to the first violation, and its witness, in a full scan
+    of ``orders``."""
+    cases = 0
+    for order, code, _ in orders:
+        for violation in cases_of(positions, order, code):
+            cases += 1
+            if violation is not None:
+                return cases, Witness(order, *violation)
+    return cases, None
+
+
 def test_definitions_run_without_the_driver():
-    """Each definition states which orders it speaks of, so run on every
-    order of the universe it yields exactly the cases ``check`` counts."""
-    op = REGISTRY["dense"]
+    """Each definition takes an order and its code, states which orders it
+    speaks of, and reads only five members of its positions; so run on every
+    order of the universe through those five alone, it yields the cases and
+    the first violation that ``check`` reports."""
+    dense_op = REGISTRY["dense"]
+    unmarked = PositionOperator(dense_op.name, dense_op.domain, dense_op.fn)
     universe = _Universe(4)
-    positions = universe.positions(op)
-    for axiom, cases_of in _DEFINITIONS.items():
-        cases = sum(
-            1
-            for order, code in universe.orders
-            for _ in cases_of(positions, order, code, positions.at(code, lambda: order))
-        )
-        assert cases == check(op, axiom, 4).cases_checked, axiom
+    for op in (dense_op, REGISTRY["list-index"], unmarked):
+        positions = _FiveMembers(universe.positions(op))
+        for axiom, cases_of in _DEFINITIONS.items():
+            report = check(op, axiom, 4)
+            scanned = _scan(cases_of, positions, universe.orders)
+            assert scanned == (report.cases_checked, report.witness), (op.name, axiom)
 
 
 def test_truncation_verdicts():
@@ -169,12 +187,6 @@ def test_ud_independency_verdicts():
     assert report.verdict is Verdict.FAIL
     assert report.witness.base == from_tiers([{"x1"}, {"x2", "x3"}])
     assert (report.witness.before, report.witness.after) == (F(2), F(3))
-
-
-def test_monotonicity_verdicts():
-    assert check(REGISTRY["dense"], Axiom.MONOTONICITY, 4).verdict is Verdict.PASS
-    assert check(REGISTRY["fractional"], Axiom.MONOTONICITY, 4).verdict is Verdict.PASS
-    assert check(REGISTRY["list-index"], Axiom.MONOTONICITY, 3).verdict is Verdict.FAIL
 
 
 def test_linear_only_operator_axioms():
@@ -412,9 +424,10 @@ def _has_clone(order) -> bool:
     return any(str(alt).startswith("+c") for alt in order.ground)
 
 
-def test_cells_checked_alone_match_the_shared_run(reports4):
-    for (name, axiom), report in reports4.items():
-        assert check(REGISTRY[name], axiom, 4) == report, (name, axiom)
+def test_cells_checked_alone_match_the_shared_run(reports3, reports4):
+    for max_n, reports in ((3, reports3), (4, reports4)):
+        for (name, axiom), report in reports.items():
+            assert check(REGISTRY[name], axiom, max_n) == report, (name, axiom, max_n)
 
 
 def test_clone_orders_are_always_evaluated():
@@ -472,7 +485,8 @@ def test_large_numerators_and_denominators_compare_exactly():
     assert (report.witness.before, report.witness.after) == (5, 5)
 
 
-def test_a_run_evaluates_each_order_once_per_operator(monkeypatch):
+def _counted_calls(monkeypatch) -> Counter:
+    """The operator calls from here on, counted by (operator name, order)."""
     evaluated = Counter()
     call = PositionOperator.__call__
 
@@ -481,11 +495,25 @@ def test_a_run_evaluates_each_order_once_per_operator(monkeypatch):
         return call(op, order)
 
     monkeypatch.setattr(PositionOperator, "__call__", counted)
+    return evaluated
+
+
+def test_a_run_evaluates_each_order_once_per_operator(monkeypatch):
+    evaluated = _counted_calls(monkeypatch)
     run_axiom_reports(4)
     assert {name for name, _ in evaluated} == set(REGISTRY)
     assert any(_has_clone(order) for _, order in evaluated)
     repeated = [key for key, count in evaluated.items() if count > 1 and not _has_clone(key[1])]
     assert repeated == []
+
+
+def test_a_cell_checked_alone_evaluates_only_the_orders_it_speaks_of(monkeypatch):
+    """Sequentiality speaks of linear orders only: 153 of the 633 orders on
+    up to five alternatives."""
+    evaluated = _counted_calls(monkeypatch)
+    report = check(REGISTRY["dense-chain"], Axiom.SEQUENTIALITY, 5)
+    assert report.verdict is Verdict.PASS
+    assert report.cases_checked == sum(evaluated.values()) == 153
 
 
 # ----- one order per tier-size shape ------------------------------------------------
@@ -526,28 +554,21 @@ def test_shape_reduced_cells_match_full_scans():
 
 
 def test_neutrality_scans_every_order_and_other_cells_one_per_shape(monkeypatch):
-    evaluated = set()
-    call = PositionOperator.__call__
-
-    def recorded(op, order):
-        evaluated.add(order)
-        return call(op, order)
-
     def relabel(order, mapping):
         raise AssertionError(f"a passing neutrality cell built a relabelled [{order}]")
 
-    monkeypatch.setattr(PositionOperator, "__call__", recorded)
+    calls = _counted_calls(monkeypatch)
     monkeypatch.setattr(WeakOrder, "relabel", relabel)
     universe = set(support.orders_up_to(4))
     assert check(REGISTRY["dense"], Axiom.NEUTRALITY, 4).verdict is Verdict.PASS
-    assert universe <= evaluated
-    evaluated.clear()
+    assert universe <= {order for _, order in calls}
+    calls.clear()
     check(REGISTRY["dense"], Axiom.MONOTONICITY, 4)
     # one order per composition of n = 1..4 into tier sizes
-    assert len(evaluated) == 1 + 2 + 4 + 8
-    evaluated.clear()
+    assert len(calls) == 1 + 2 + 4 + 8
+    calls.clear()
     check(REGISTRY["dense-chain"], Axiom.MONOTONICITY, 4)
-    assert evaluated == universe
+    assert {order for _, order in calls} == universe
 
 
 def test_a_label_dependent_rule_is_scanned_in_full():

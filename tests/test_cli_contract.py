@@ -76,8 +76,12 @@ def test_to_fraction_refuses_inexact_types(value):
 
 @pytest.mark.parametrize(
     "build",
-    [lambda: make_affine_operator(0.1, 0), lambda: PositionAssignment({"a": True})],
-    ids=["make_affine_operator-float", "PositionAssignment-bool"],
+    [
+        lambda: make_affine_operator(0.1, 0),
+        lambda: PositionAssignment({"a": True}),
+        lambda: rank_payload("a,1\nb,1.1\n", method="dense", tie_epsilon=0.1),
+    ],
+    ids=["make_affine_operator-float", "PositionAssignment-bool", "rank_payload-float"],
 )
 def test_inexact_numbers_are_refused_where_they_enter(build):
     with pytest.raises(TypeError):
