@@ -35,10 +35,8 @@ from .axioms import build_verification_document, engine_ground
 from .operators import (
     NegativeCoefficient,
     NotLinear,
+    Rational,
     UnknownOperator,
-    _digit_limit,
-    _refusal,
-    _refuse_inexact,
     get_operator,
     parse_exact,
     to_fraction,
@@ -137,12 +135,9 @@ def _parse_scores(text: str, has_header: bool) -> dict[Score, list[str]]:
         group = by_text.get(raw_score)
         if group is None:
             try:
-                score = parse_exact(raw_score)
-            except (ValueError, ZeroDivisionError) as exc:
-                where = f"line {line_no}, column 2"
-                raise ParseError(
-                    _refusal(raw_score, f"{where}: score", exc, f"{where}: not an exact decimal: {raw_score!r}")
-                ) from None
+                score = parse_exact(raw_score, "score")
+            except ValueError as exc:
+                raise ParseError(f"line {line_no}, column 2: {exc}") from None
             # Texts such as 0.5 and 1/2 are one score, so they share a group.
             group = by_text[raw_score] = groups.setdefault(score, [])
         group.append(ident)
@@ -151,7 +146,7 @@ def _parse_scores(text: str, has_header: bool) -> dict[Score, list[str]]:
     return groups
 
 
-# Decimal arithmetic without rounding, over the exponents parse_exact allows.
+# Decimal arithmetic without rounding, over every exponent a score or an epsilon has.
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 
@@ -199,11 +194,11 @@ def _order_from_scores(groups: dict[Score, list[str]], epsilon: Score) -> WeakOr
 
 
 def _json_int(digits: str) -> int:
-    """A JSON integer, refused before ``int`` when Python could not print it."""
-    limit = _digit_limit()
-    if len(digits.lstrip("-")) > limit:
-        raise ParseError(f"an integer has more digits than Python prints ({limit})")
-    return int(digits)
+    """A JSON integer, read as every number from outside is."""
+    try:
+        return int(parse_exact(digits, "JSON integer"))
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
 
 
 def _parse_tiers_json(text: str) -> WeakOrder:
@@ -297,29 +292,25 @@ def rank_payload(
     method: str,
     input_format: str = "csv-scores",
     output_format: str = "csv",
-    tie_epsilon: str | Fraction = 0,
+    tie_epsilon: Rational = 0,
     has_header: bool = False,
 ) -> str:
     """Pure core of the ``rank`` subcommand: text in, formatted text out.
 
-    ``tie_epsilon`` is read exactly: as in :func:`to_fraction`, anything
-    but an ``int``, ``Fraction``, ``Decimal`` or ``str`` raises
-    ``TypeError``, a ``float`` and a ``bool`` included.
+    ``tie_epsilon`` is read by :func:`parse_exact`: a ``float`` or a
+    ``bool`` raises ``TypeError``, and a refused value ``InputError``.
     """
-    _refuse_inexact(tie_epsilon)
+    try:
+        epsilon = parse_exact(tie_epsilon, "tie epsilon")
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
     if output_format not in ("csv", "json"):
         raise InputError(f"unknown output format {output_format!r}")
-    try:
-        epsilon = parse_exact(str(tie_epsilon))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(
-            _refusal(str(tie_epsilon), "tie epsilon", exc, f"tie epsilon is not an exact decimal: {tie_epsilon!r}")
-        ) from None
     if epsilon < 0:
         try:
-            shown = str(to_fraction(epsilon))
-        except ValueError:  # a fraction longer than Python prints
-            shown = repr(tie_epsilon)
+            shown = to_fraction(epsilon)
+        except ValueError:  # a decimal whose fraction is longer than Python prints
+            shown = epsilon
         raise InputError(f"tie epsilon must be non-negative, got {shown}")
     if input_format == "csv-scores":
         order = _order_from_scores(_parse_scores(text, has_header), epsilon)
@@ -433,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     rank.add_argument(
         "--tie-epsilon",
         default="0",
-        help="group scores within this exact decimal gap (chained; default 0 = exact ties)",
+        help="group scores within this exact gap, a decimal or p/q (chained; default 0 = exact ties)",
     )
     rank.add_argument(
         "--has-header", action="store_true", help="skip the first CSV row"

@@ -37,7 +37,7 @@ from typing import Callable, Iterator, Union
 from .orders import AltId, WeakOrder, label_key
 
 Position = Fraction
-Rational = Union[int, Fraction, str]
+Rational = Union[int, Fraction, Decimal, str]
 
 __all__ = [
     "Position",
@@ -84,7 +84,7 @@ class PositionAssignment(Mapping):
 
     def __init__(self, positions: Mapping[AltId, Rational]):
         self._positions = {
-            alt: value if type(value) is Fraction else to_fraction(value)
+            alt: value if type(value) is Fraction else to_fraction(value, "position")
             for alt, value in positions.items()
         }
 
@@ -306,7 +306,7 @@ def dense_over_tier_count(order: WeakOrder) -> PositionAssignment:
     return _by_tier(order, lambda depth, above, size: Fraction(depth, tiers))
 
 
-# ----- exact numbers from text ----------------------------------------------
+# ----- exact numbers from outside --------------------------------------------
 
 # The decimal spellings that Fraction(text) accepts: a sign, digits with single
 # underscores between them, an optional fraction part and an optional exponent.
@@ -314,89 +314,97 @@ _DECIMAL = re.compile(r"[-+]?(?=\.?\d)\d*(?:_\d+)*(?:\.(?:\d+(?:_\d+)*)?)?(?:[eE
 # Decimal arithmetic stays far inside its exponent range below this bound.
 _EXPONENT_LIMIT = 10**15
 # A run of digits, as int() counts them: the underscores between them do not.
-_DIGIT_RUN = re.compile(r"[0-9_]+")
+_DIGIT_RUN = re.compile(r"[\d_]+")
 
 
-def parse_exact(text: str) -> Decimal | Fraction:
-    """Read an exact number written as a decimal or as ``p/q``.
+def parse_exact(value: Rational, name: str = "value") -> int | Fraction | Decimal:
+    """Read a number from outside exactly, or say which of four reasons refuses it.
 
-    Accepts the spellings ``Fraction(text)`` accepts, with the same values
-    and the same errors, but keeps a decimal as a :class:`Decimal`: its
-    comparisons and hashes are exact and never build 10**exponent, which
-    ``Fraction`` does.  The ``p/q`` form has no exponent, so it is read as a
-    ``Fraction``.  Either way the time taken is bounded by the text's length.
-    A decimal whose leading digit lies beyond 10**15 places from the point
-    raises ``ValueError``.
+    Text is read as ``Fraction(text)`` reads it, but a decimal is kept as a
+    :class:`Decimal`, whose comparisons and hashes never build 10**exponent;
+    ``p/q`` is read as a ``Fraction``.  The time is bounded by the text's
+    length.  An ``int``, ``Fraction`` or ``Decimal`` is returned as it is;
+    any other type, a ``float`` or a ``bool`` too, raises ``TypeError``.
+
+    A refused value raises ``ValueError``: ``<name> is not an exact number``,
+    ``has a zero denominator``, ``has more digits than Python prints (N)``
+    (a run of digits that ``int`` refuses, or an ``int`` or ``Fraction``
+    whose written form has one) or ``has an exponent out of range`` (a
+    decimal whose leading digit lies beyond 10**15 places from the point),
+    followed by the value when Python can print it.
     """
-    body = text.strip()
-    if "/" in body or not _DECIMAL.fullmatch(body):
-        # p/q, or a spelling that Fraction refuses too, with its own message.
-        return Fraction(text)
-    if len(body) > 640:
-        # Fraction reads each run of digits with int(), which refuses a run
-        # longer than Python's limit on integer strings (never below 640).
-        for run in re.split("[.eE]", body):
-            if run:
-                int(run)
     try:
-        value = Decimal(body)
-        in_range = abs(value.adjusted()) <= _EXPONENT_LIMIT
-    except InvalidOperation:  # an exponent beyond even Decimal's range
-        in_range = False
-    if not in_range:
-        raise ValueError(f"exponent out of range: {text!r}")
+        body = value.strip()
+        decimal = "/" not in body and _DECIMAL.fullmatch(body)
+    except (AttributeError, TypeError):  # not text
+        return _exact_value(value, name)
+    if len(body) > 640:
+        # int() refuses a run longer than Python's limit on integer strings,
+        # which is never below 640; 0 means no limit.
+        limit = sys.get_int_max_str_digits()
+        if limit and any(len(run) - run.count("_") > limit for run in _DIGIT_RUN.findall(body)):
+            raise ValueError(f"{name} has more digits than Python prints ({limit}): {value!r}")
+    if decimal:
+        try:
+            number = Decimal(body)
+            in_range = abs(number.adjusted()) <= _EXPONENT_LIMIT
+        except InvalidOperation:  # an exponent beyond even Decimal's range
+            in_range = False
+        if not in_range:
+            raise ValueError(f"{name} has an exponent out of range: {value!r}")
+        return number
+    try:
+        if "/" in body:
+            return Fraction(body)
+    except ZeroDivisionError:
+        raise ValueError(f"{name} has a zero denominator: {value!r}") from None
+    except ValueError:  # not p/q in any spelling that Fraction reads
+        pass
+    raise ValueError(f"{name} is not an exact number: {value!r}")
+
+
+def _exact_value(value: object, name: str) -> int | Fraction | Decimal:
+    """:func:`parse_exact` for a value that is not text."""
+    if isinstance(value, Decimal):
+        if not value.is_finite():
+            raise ValueError(f"{name} is not an exact number: {value!r}")
+        if abs(value.adjusted()) > _EXPONENT_LIMIT:
+            raise ValueError(f"{name} has an exponent out of range: {value!r}")
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        raise TypeError(f"{name} is not an exact number: {value!r}")
+    limit = sys.get_int_max_str_digits()
+    if limit and not _printable(value, limit):
+        raise ValueError(f"{name} has more digits than Python prints ({limit})")
     return value
 
 
-def _refusal(text: str, name: str, error: Exception, otherwise: str) -> str:
-    """Why :func:`parse_exact` refused ``text``, which the message calls ``name``.
-
-    A run of more digits than Python reads into an integer, and a decimal
-    that ``error`` places beyond parse_exact's exponent range, are named as
-    the reason; any other refusal is the message ``otherwise``.
-    """
-    limit = _digit_limit()
-    if any(len(run.replace("_", "")) > limit for run in _DIGIT_RUN.findall(text)):
-        return f"{name} has more digits than Python prints ({limit}): {text!r}"
-    if str(error).startswith("exponent out of range"):
-        return f"{name} has an exponent out of range: {text!r}"
-    return otherwise
+def _printable(value: int | Fraction, limit: int) -> bool:
+    """Whether ``value``'s numerator and denominator have ``limit`` digits or fewer."""
+    largest = max(abs(value.numerator), value.denominator)
+    # 8**limit < 10**limit, so 3 * limit bits or fewer need no power of ten.
+    return largest.bit_length() <= 3 * limit or largest < 10**limit
 
 
-def to_fraction(value: Rational | Decimal) -> Fraction:
+def to_fraction(value: Rational, name: str = "value") -> Fraction:
     """``value`` as a Fraction: the one way a number from outside becomes one.
 
-    Text is read by :func:`parse_exact`, so its time is bounded by its
-    length.  A numerator or denominator with more digits than Python prints
-    (``sys.get_int_max_str_digits()``, or its default when that limit is
-    off) raises ``ValueError``; a decimal that large is refused before its
-    power of ten is built.  Only an ``int``, ``Fraction``, ``Decimal`` or
-    ``str`` is read: anything else raises ``TypeError``, a ``float`` (whose
-    binary value is not the decimal it prints as) and a ``bool`` included.
-    A non-finite ``Decimal`` raises ``ValueError``.
+    The value is read by :func:`parse_exact`, whose errors and message
+    ``name`` it shares.  A numerator or denominator with more digits than
+    Python prints (``sys.get_int_max_str_digits()``, or its default when
+    that limit is off) raises ``ValueError`` too; a decimal that large is
+    refused before its power of ten is built.
     """
-    _refuse_inexact(value)
-    if isinstance(value, str):
-        value = parse_exact(value)
-    if isinstance(value, Decimal) and not value.is_finite():
-        raise ValueError(f"not a finite number: {value}")
+    number = parse_exact(value, name)
     limit = _digit_limit()
     # A non-zero decimal's leading digit lies |adjusted| places from the
     # point, so beyond the limit its numerator or denominator is too long.
-    if isinstance(value, Decimal) and value and abs(value.adjusted()) > limit:
-        raise ValueError(f"more digits than Python prints ({limit})")
-    fraction = Fraction(value)
-    bound = 10**limit
-    if abs(fraction.numerator) >= bound or fraction.denominator >= bound:
-        raise ValueError(f"more digits than Python prints ({limit})")
+    if isinstance(number, Decimal) and number and abs(number.adjusted()) > limit:
+        raise ValueError(f"{name} has more digits than Python prints ({limit})")
+    fraction = Fraction(number)
+    if not _printable(fraction, limit):
+        raise ValueError(f"{name} has more digits than Python prints ({limit})")
     return fraction
-
-
-def _refuse_inexact(value: object) -> None:
-    """Raise ``TypeError`` unless ``value`` is an ``int``, ``Fraction``,
-    ``Decimal`` or ``str``, the types a number is read from exactly."""
-    if isinstance(value, bool) or not isinstance(value, (int, Fraction, Decimal, str)):
-        raise TypeError(f"not an exact number: {value!r}")
 
 
 def _digit_limit() -> int:
@@ -431,7 +439,7 @@ def make_affine_operator(
     The default name serialises the coefficients as exact fractions, e.g.
     ``affine:a=2/1,b=1/1``.  The coefficients are checked here, once.
     """
-    a, b = to_fraction(a), to_fraction(b)
+    a, b = to_fraction(a, "affine coefficient a"), to_fraction(b, "affine coefficient b")
     if a < 0 or b < 0:
         raise NegativeCoefficient(f"coefficients must be non-negative, got a={a}, b={b}")
     if name is None:
@@ -482,13 +490,9 @@ def get_operator(name: str) -> PositionOperator:
             if key not in ("a", "b") or key in params:
                 raise UnknownOperator(f"bad affine parameter list in {name!r}")
             try:
-                params[key] = to_fraction(raw)
-            except ZeroDivisionError:
-                raise UnknownOperator(f"bad affine coefficient in {name!r}: zero denominator") from None
+                params[key] = to_fraction(raw, f"affine coefficient {key}")
             except ValueError as exc:
-                raise UnknownOperator(
-                    _refusal(raw, f"affine coefficient {key}", exc, f"bad affine coefficient in {name!r}: {exc}")
-                ) from None
+                raise UnknownOperator(str(exc)) from None
         if set(params) != {"a", "b"}:
             raise UnknownOperator(f"affine form needs both a= and b=: {name!r}")
         return make_affine_operator(params["a"], params["b"])

@@ -11,6 +11,7 @@ import sys
 import tempfile
 import time
 from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -41,14 +42,23 @@ def _one_error_line(stderr: str) -> bool:
         # The first label length whose position has more digits than Python prints.
         lambda: list_index(from_tiers([["z" * 1785]])),
         lambda: list_index(from_tiers([["z" * 100_000]])),
+        lambda: to_fraction("1" * 5000),
+        lambda: PositionAssignment({"a": "1" * 5000}),
+        lambda: make_affine_operator("1/" + "1" * 5000, 0),
     ],
-    ids=["make_affine_operator", "PositionAssignment", "affine", "list_index-1785", "list_index-100000"],
+    ids=[
+        "make_affine_operator", "PositionAssignment", "affine", "list_index-1785", "list_index-100000",
+        "to_fraction-5000-digits", "PositionAssignment-5000-digits", "make_affine_operator-5000-digit-denominator",
+    ],
 )
 def test_huge_text_numbers_are_refused_quickly(build):
     start = time.perf_counter()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as refused:
         build()
     assert time.perf_counter() - start < 5.0
+    # The message names the limit, never the interpreter's own advice.
+    assert f"({sys.get_int_max_str_digits()}" in str(refused.value)
+    assert "set_int_max_str_digits" not in str(refused.value)
 
 
 def test_to_fraction_bounds_digits_by_the_interpreters_limit():
@@ -68,7 +78,7 @@ def test_to_fraction_bounds_digits_by_the_interpreters_limit():
         sys.set_int_max_str_digits(limit)
 
 
-@pytest.mark.parametrize("value", [0.1, True, None], ids=repr)
+@pytest.mark.parametrize("value", [0.1, True, None, b"1"], ids=repr)
 def test_to_fraction_refuses_inexact_types(value):
     with pytest.raises(TypeError):
         to_fraction(value)
@@ -123,7 +133,7 @@ def test_printable_affine_numbers_still_rank():
 def test_affine_zero_denominator_is_named():
     result = support.run([*support.CLI, "rank", "--method", "affine:a=1/0,b=0"], input="a,1\nb,2\n")
     assert (result.returncode, result.stdout) == (2, "")
-    assert result.stderr == "error: bad affine coefficient in 'affine:a=1/0,b=0': zero denominator\n"
+    assert result.stderr == "error: affine coefficient a has a zero denominator: '1/0'\n"
 
 
 # ----- argparse errors are one line ------------------------------------------
@@ -166,7 +176,7 @@ def test_negative_epsilon_too_long_to_print_is_called_negative():
     assert (result.returncode, result.stdout) == (2, "")
     assert _one_error_line(result.stderr)
     assert "must be non-negative" in result.stderr
-    assert "not an exact decimal" not in result.stderr
+    assert "not an exact number" not in result.stderr
 
 
 def test_help_is_unchanged():
@@ -365,8 +375,20 @@ def test_long_digit_runs_are_named_as_such(args, text, tmp_path, capsys):
     captured = capsys.readouterr()
     assert _one_error_line(captured.err)
     assert f"({sys.get_int_max_str_digits()})" in captured.err
-    assert "not an exact decimal" not in captured.err
+    assert "not an exact number" not in captured.err
     assert "set_int_max_str_digits" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "tie_epsilon",
+    [10**5000, -(10**5000), Fraction(1, 10**5000), Fraction(-1, 10**5000)],
+    ids=["int", "negative-int", "fraction", "negative-fraction"],
+)
+def test_epsilons_too_long_to_print_are_named_as_such(tie_epsilon):
+    # An int or Fraction is refused exactly when its written form would be.
+    with pytest.raises(InputError) as refused:
+        rank_payload("a,1\n", method="dense", tie_epsilon=tie_epsilon)
+    assert str(refused.value) == f"tie epsilon has more digits than Python prints ({sys.get_int_max_str_digits()})"
 
 
 @pytest.mark.parametrize(
@@ -387,8 +409,38 @@ def test_exponents_out_of_range_are_named_as_such(args, text, tmp_path, capsys):
     assert main(["rank", "--method", "dense", *args, str(path)]) == 2
     captured = capsys.readouterr()
     assert _one_error_line(captured.err)
-    assert "exponent out of range" in captured.err
-    assert "not an exact decimal" not in captured.err
+    assert "has an exponent out of range" in captured.err
+    assert "not an exact number" not in captured.err
+
+
+# One wording per reason, wherever a number enters.
+REFUSED_NUMBERS = {
+    "not-a-number": ("x", "is not an exact number"),
+    "zero-denominator": ("1/0", "has a zero denominator"),
+    "5000-digits": ("1" * 5000, f"has more digits than Python prints ({sys.get_int_max_str_digits()})"),
+    "huge-exponent": ("1e99999999999999999", "has an exponent out of range"),
+}
+ENTRY_POINTS = {
+    "score": (lambda value: ([], f"a,{value}\n"), "line 1, column 2: score"),
+    "tie-epsilon": (lambda value: (["--tie-epsilon", value], "a,1\n"), "tie epsilon"),
+    "affine": (lambda value: (["--method", f"affine:a={value},b=0"], "a,1\n"), "affine coefficient a"),
+}
+
+
+@pytest.mark.parametrize("refused", REFUSED_NUMBERS)
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_each_refusal_has_one_wording_at_every_entry_point(entry, refused, tmp_path, capsys):
+    value, reason = REFUSED_NUMBERS[refused]
+    place, name = ENTRY_POINTS[entry]
+    args, text = place(value)
+    path = tmp_path / "input"
+    path.write_text(text, encoding="utf-8")
+    assert main(["rank", "--method", "dense", *args, str(path)]) == 2
+    captured = capsys.readouterr()
+    message = f"{name} {reason}: {value!r}"
+    # An error line quotes at most 200 characters of its message.
+    shown = message if len(message) <= 200 else message[:200] + "..."
+    assert (captured.out, captured.err) == ("", f"error: {shown}\n")
 
 
 NESTED_900_JSON = '{"tiers":[[' + "[" * 900 + "]" * 900 + "]]}"

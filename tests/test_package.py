@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 from pathlib import Path
 
 import rankops
@@ -47,5 +48,20 @@ def test_child_processes_are_spawned_only_through_support():
         if path.name != "support.py"
         for name in forbidden
         if name in path.read_text(encoding="utf-8")
+    ]
+    assert offenders == []
+
+
+def test_no_module_imports_a_private_name_from_a_sibling():
+    """A ``_``-prefixed name is its own module's business; a sibling that
+    needs it should get a public name instead."""
+    package = Path(rankops.__file__).resolve().parent
+    offenders = [
+        (path.name, node.module, alias.name)
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("rankops"))
+        for alias in node.names
+        if alias.name.startswith("_")
     ]
     assert offenders == []
