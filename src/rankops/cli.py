@@ -28,8 +28,9 @@ import re
 import sys
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_CEILING, Context, Decimal
 from fractions import Fraction
+from itertools import chain, repeat
 from operator import itemgetter
-from typing import Iterator, NoReturn, Sequence, TextIO, Union
+from typing import NoReturn, Sequence, TextIO, Union
 
 from .axioms import build_verification_document, engine_ground
 from .operators import (
@@ -83,6 +84,9 @@ Score = Union[Decimal, Fraction]
 # The line breaks the csv module reads: \r\n, \n or a lone \r.
 _LINE_BREAK = re.compile(rb"\r\n?|\n")
 
+# A code point that UTF-8 cannot encode: JSON text can escape one alone.
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
 # An error line quotes at most this many characters of its message.
 _ERROR_CHARS = 200
 
@@ -91,25 +95,11 @@ _ERROR_CHARS = 200
 EXIT_PIPE_CLOSED = 141
 
 
-def _csv_rows(text: str) -> Iterator[tuple[int, list[str]]]:
-    r"""The rows of CSV text, each with the line it starts on.
+def _parse_scores(text: str, has_header: bool) -> dict[Score, list[str]]:
+    r"""Parse ``id,score`` CSV rows, grouping the ids by exact score.
 
     Lines end at ``\n``, ``\r\n`` or ``\r``, and a quoted field keeps its
-    line breaks as written.  A row the csv module refuses is a ParseError.
-    """
-    reader = csv.reader(io.StringIO(text, newline=""))
-    try:
-        start = 1
-        for row in reader:
-            yield start, row
-            start = reader.line_num + 1
-    except csv.Error as exc:
-        raise ParseError(f"line {reader.line_num}: {exc}") from None
-
-
-def _parse_scores(text: str, has_header: bool) -> dict[Score, list[str]]:
-    """Parse ``id,score`` CSV rows, grouping the ids by exact score.
-
+    line breaks as written; an error names the line its row starts on.
     Each distinct score text, stripped, is parsed once, on its first row;
     a later row with the same text joins that row's group.  Every row's id
     is checked before its score, and a refused score is reported at the
@@ -118,29 +108,41 @@ def _parse_scores(text: str, has_header: bool) -> dict[Score, list[str]]:
     groups: dict[Score, list[str]] = {}
     by_text: dict[str, list[str]] = {}
     seen: set[str] = set()
-    rows = _csv_rows(text)
-    if has_header:
-        next(rows, None)
-    for line_no, row in rows:
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != 2:
-            raise ParseError(f"line {line_no}: expected id,score but got {len(row)} fields")
-        ident, raw_score = row[0], row[1].strip()
-        if not ident:
-            raise ParseError(f"line {line_no}, column 1: empty id")
-        if ident in seen:
-            raise DuplicateId(f"line {line_no}: duplicate id {ident!r}")
-        seen.add(ident)
-        group = by_text.get(raw_score)
-        if group is None:
+    reader = csv.reader(io.StringIO(text, newline=""))
+    end = 0  # the line the row before ends on
+    try:
+        if has_header:
+            next(reader, None)
+            end = reader.line_num
+        for row in reader:
             try:
-                score = parse_exact(raw_score, "score")
-            except ValueError as exc:
-                raise ParseError(f"line {line_no}, column 2: {exc}") from None
-            # Texts such as 0.5 and 1/2 are one score, so they share a group.
-            group = by_text[raw_score] = groups.setdefault(score, [])
-        group.append(ident)
+                ident, raw_score = row
+            except ValueError:
+                # A blank line is no row; any other number of fields is refused.
+                if row and (len(row) > 1 or row[0].strip()):
+                    raise ParseError(
+                        f"line {end + 1}: expected id,score but got {len(row)} fields"
+                    ) from None
+                end = reader.line_num
+                continue
+            if not ident:
+                raise ParseError(f"line {end + 1}, column 1: empty id")
+            if ident in seen:
+                raise DuplicateId(f"line {end + 1}: duplicate id {ident!r}")
+            seen.add(ident)
+            raw_score = raw_score.strip()
+            group = by_text.get(raw_score)
+            if group is None:
+                try:
+                    score = parse_exact(raw_score, "score")
+                except ValueError as exc:
+                    raise ParseError(f"line {end + 1}, column 2: {exc}") from None
+                # Texts such as 0.5 and 1/2 are one score, so they share a group.
+                group = by_text[raw_score] = groups.setdefault(score, [])
+            group.append(ident)
+            end = reader.line_num
+    except csv.Error as exc:
+        raise ParseError(f"line {reader.line_num}: {exc}") from None
     if not groups:
         raise EmptyInput("no data rows in input")
     return groups
@@ -211,9 +213,12 @@ def _parse_tiers_json(text: str) -> WeakOrder:
         order = weak_order_from_json(payload)
     except OrderError as exc:
         raise ParseError(str(exc)) from None
-    # Output prints every label as text, so 1 and "1" would be one id twice.
+    # Output prints every label as text, so 1 and "1" would be one id twice,
+    # and as UTF-8, which holds no surrogate code point (a lone \ud800 escape).
     ids: dict[str, AltId] = {}
     for alt in order.sorted_alternatives():
+        if isinstance(alt, str) and _SURROGATE.search(alt):
+            raise ParseError(f"label {alt!r} is not valid Unicode text")
         first = ids.setdefault(str(alt), alt)
         if first != alt:
             raise ParseError(f"labels {first!r} and {alt!r} both print as id {str(alt)!r}")
@@ -245,12 +250,15 @@ def _format_rows(order: WeakOrder, method: str, output_format: str) -> str:
             bucket = buckets.setdefault(position, [])
             last = position
         bucket.append(alt)
-    # Only the distinct positions are sorted as fractions, and only a bucket
-    # of two or more ids is sorted by label.
-    ranked = [
-        (position, sorted(alts, key=label_key) if len(alts) > 1 else alts)
-        for position, alts in sorted(buckets.items(), key=itemgetter(0))
-    ]
+    # Only the distinct positions are sorted as fractions.  A bucket of ids
+    # sorts as its labels do, by label_key only where Python cannot compare
+    # them: a json-tiers bucket that mixes int and str ids.
+    ranked = sorted(buckets.items(), key=itemgetter(0))
+    for _, alts in ranked:
+        try:
+            alts.sort()
+        except TypeError:
+            alts.sort(key=label_key)
     try:
         return _render(operator.name, ranked, output_format)
     except ValueError:  # Python prints no integer longer than its limit
@@ -265,20 +273,27 @@ def _render(name: str, ranked: list[tuple[Fraction, list[AltId]]], output_format
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["id", "position"])
-        for position, alts in ranked:
-            text = str(position)
-            writer.writerows([alt, text] for alt in alts)
+        writer.writerows(
+            chain.from_iterable(zip(alts, repeat(str(position))) for position, alts in ranked)
+        )
         return out.getvalue()
 
-    # The bytes of json.dumps(payload, indent=2), one fragment per position;
-    # json.dumps writes each id, so its escaping is the same.
+    # The bytes of json.dumps(payload, indent=2), one fragment per position:
+    # its ids joined by the text between two ids.  A str id is quoted by the
+    # function json.dumps quotes it with, an int id printed as a number.
+    quote = json.encoder.encode_basestring_ascii
+    head = '    {\n      "id": '
     rows = []
     for position, alts in ranked:
         tail = (
             f',\n      "position": {{\n        "numerator": {position.numerator},'
             f'\n        "denominator": {position.denominator}\n      }}\n    }}'
         )
-        rows.extend(f'    {{\n      "id": {json.dumps(alt)}{tail}' for alt in alts)
+        try:
+            ids = list(map(quote, alts))
+        except TypeError:  # a json-tiers bucket that holds int ids
+            ids = [quote(alt) if isinstance(alt, str) else str(alt) for alt in alts]
+        rows.append(head + f"{tail},\n{head}".join(ids) + tail)
     return (
         f'{{\n  "method": {json.dumps(name)},\n  "positions": [\n'
         + ",\n".join(rows)

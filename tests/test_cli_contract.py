@@ -192,6 +192,8 @@ LONG_LABEL_JSON = '{"tiers": [[' + "1" * 5000 + "]]}"
 DEEP_JSON = "[" * 200_000 + "]" * 200_000
 LONG_FIELD_CSV = "a," + "1" * 131_073 + "\n"
 LONG_ID_CSV = "a" + "7" * 5000 + ",1\nb,2\n"
+# A lone surrogate escape: text UTF-8 cannot encode.
+SURROGATE_JSON = '{"tiers": [["\\ud800"], ["b"]]}'
 
 
 @pytest.mark.parametrize(
@@ -201,8 +203,13 @@ LONG_ID_CSV = "a" + "7" * 5000 + ",1\nb,2\n"
         (["--input-format", "json-tiers"], DEEP_JSON),
         ([], LONG_FIELD_CSV),
         (["--method", "list-index"], LONG_ID_CSV),
+        (["--input-format", "json-tiers"], SURROGATE_JSON),
+        (["--input-format", "json-tiers", "--output-format", "json"], SURROGATE_JSON),
     ],
-    ids=["5000-digit-label", "nested-200000-deep", "csv-field-over-limit", "list-index-5000-digit-id"],
+    ids=[
+        "5000-digit-label", "nested-200000-deep", "csv-field-over-limit", "list-index-5000-digit-id",
+        "surrogate-label-csv", "surrogate-label-json",
+    ],
 )
 def test_malformed_rank_input_exits_2_with_one_line(args, text, tmp_path, capsys):
     path = tmp_path / "input"
@@ -258,6 +265,8 @@ SEEDS: list[tuple[list[str], bytes]] = [
     (["rank", "--method", "dense"], LONG_FIELD_CSV.encode()),
     (["rank", "--method", "list-index"], LONG_ID_CSV.encode()),
     (["rank", "--method", "dense"], b"a,1\rb,2\n"),
+    (["rank", "--method", "dense", "--input-format", "json-tiers"], SURROGATE_JSON.encode()),
+    (["rank", "--method", "dense", "--input-format", "json-tiers", "--output-format", "json"], SURROGATE_JSON.encode()),
 ]
 
 TOKENS = (

@@ -18,7 +18,7 @@ import pytest
 import support
 from hypothesis import given, settings, strategies as st
 
-from rankops import OPERATOR_NAMES, WeakOrder, cli, dense, from_tiers, label_key
+from rankops import OPERATOR_NAMES, WeakOrder, cli, dense, from_tiers, label_key, weak_order_to_json
 from rankops.cli import (
     EXIT_PIPE_CLOSED,
     DuplicateId,
@@ -145,7 +145,9 @@ METHODS = (*OPERATOR_NAMES, "affine:a=0/1,b=3/2", "affine:a=1/3,b=2")
 EPSILONS = ("0", "0.001", "0.002", "0.0025", "5e-3", "1/300", "0")
 BAD_SCORES = ("nan", "inf", "Infinity", "sNaN", "0x10", "", "1__0", "_1", "1.d", "1/0", "x")
 
-ids = st.text(alphabet="ab,\"é 1", min_size=1, max_size=3)
+# Besides the csv module's own specials, characters that JSON escapes (a
+# backslash, a tab, U+2028) or writes as a surrogate pair (U+1F600).
+ids = st.text(alphabet="ab,\"é 1\\\t\u2028\U0001f600", min_size=1, max_size=3)
 
 
 @st.composite
@@ -211,6 +213,33 @@ def test_rank_matches_the_reference_on_bench_inputs(method, output_format):
             )
         )
         assert actual == expected
+
+
+# Labels of a json-tiers order: all ints, all strs over the ids' alphabet, or
+# both mixed; no two print alike (1 and "1" are refused as one id twice).
+LABELS = (st.integers(-3, 12), ids, st.one_of(st.integers(-3, 12), ids))
+
+
+@st.composite
+def json_tier_orders(draw) -> WeakOrder:
+    label = draw(st.sampled_from(LABELS))
+    ground = draw(st.lists(label, min_size=1, max_size=12, unique_by=str))
+    tier_of = draw(st.lists(st.integers(0, 4), min_size=len(ground), max_size=len(ground)))
+    tiers = [[alt for alt, t in zip(ground, tier_of) if t == k] for k in range(5)]
+    return from_tiers([tier for tier in tiers if tier])
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_tier_orders(), st.sampled_from(METHODS), st.sampled_from(["csv", "json"]))
+def test_json_tiers_match_the_label_key_reference(order, method, output_format):
+    text = json.dumps(weak_order_to_json(order))
+    expected = _outcome(lambda: _reference_format_rows(order, method, output_format))
+    actual = _outcome(
+        lambda: rank_payload(
+            text, method=method, input_format="json-tiers", output_format=output_format
+        )
+    )
+    assert actual == expected
 
 
 # ----- score syntax ----------------------------------------------------------
@@ -382,6 +411,29 @@ def test_each_score_text_is_parsed_once(monkeypatch):
     cli._parse_scores(text, has_header=False)
     assert sorted(parsed) == sorted(spellings)
     assert len(parsed) <= 3 * bench_inputs.TIES_VALUES
+
+
+def test_ids_are_sorted_and_quoted_without_a_call_per_id(monkeypatch):
+    text = bench_inputs.ties_csv(1, rows=600, count=60)
+    calls = {"label_key": 0, "dumps": 0}
+
+    def counted(name, function):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(cli, "label_key", counted("label_key", label_key))
+    monkeypatch.setattr(json, "dumps", counted("dumps", json.dumps))
+    out = rank_payload(text, method="fractional", output_format="json", tie_epsilon="0.005")
+    # One json.dumps call, for the method name; str ids sort as text.
+    assert calls == {"label_key": 0, "dumps": 1}
+    assert len(json.loads(out)["positions"]) == 600
+    # A bucket that mixes int and str ids still sorts by label_key.
+    mixed = rank_payload('{"tiers": [["b", 2, "a", 1]]}', method="dense", input_format="json-tiers")
+    assert mixed == "id,position\n1,1\n2,1\na,1\nb,1\n"
+    assert calls["label_key"] == 4
 
 
 @pytest.mark.parametrize("method", ["dense", "fractional"])
