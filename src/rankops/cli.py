@@ -30,12 +30,12 @@ from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_CEILING, Context, Decima
 from fractions import Fraction
 from itertools import chain, repeat
 from operator import itemgetter
-from typing import NoReturn, Sequence, TextIO, Union
+from typing import Collection, NoReturn, Sequence, TextIO, Union
 
 from .axioms import build_verification_document, engine_ground
 from .operators import (
+    Domain,
     NegativeCoefficient,
-    NotLinear,
     Rational,
     UnknownOperator,
     get_operator,
@@ -45,7 +45,6 @@ from .operators import (
 from .orders import (
     AltId,
     OrderError,
-    WeakOrder,
     enumerate_weak_orders,
     from_tiers,
     label_key,
@@ -175,8 +174,9 @@ def _within(high: Score, low: Score, epsilon: Score) -> bool:
     return up.subtract(high, low) <= epsilon
 
 
-def _order_from_scores(groups: dict[Score, list[str]], epsilon: Score) -> WeakOrder:
-    """Group scores into tiers, higher score = better tier.
+def _tiers_from_scores(groups: dict[Score, list[str]], epsilon: Score) -> list[list[str]]:
+    """The ids of each score group, in tiers: a higher score is a better
+    tier, and the best tier comes first.
 
     With epsilon zero, only exactly equal scores share a tier.  A positive
     epsilon chains transitively: each score joins the tier above it when
@@ -192,7 +192,7 @@ def _order_from_scores(groups: dict[Score, list[str]], epsilon: Score) -> WeakOr
         else:
             tiers.append(groups[score])
         previous = score
-    return from_tiers(tiers)
+    return tiers
 
 
 def _json_int(digits: str) -> int:
@@ -203,7 +203,8 @@ def _json_int(digits: str) -> int:
         raise ParseError(str(exc)) from None
 
 
-def _parse_tiers_json(text: str) -> WeakOrder:
+def _parse_tiers_json(text: str) -> tuple[frozenset[AltId], ...]:
+    """The tiers of a JSON order, best first, once they are known to be one."""
     try:
         payload = json.loads(text, parse_int=_json_int)
     except (ValueError, RecursionError) as exc:
@@ -222,37 +223,38 @@ def _parse_tiers_json(text: str) -> WeakOrder:
         first = ids.setdefault(str(alt), alt)
         if first != alt:
             raise ParseError(f"labels {first!r} and {alt!r} both print as id {str(alt)!r}")
-    return order
+    return order.tiers
 
 
-def _format_rows(order: WeakOrder, method: str, output_format: str) -> str:
+def _format_rows(tiers: Sequence[Collection[AltId]], method: str, output_format: str) -> str:
+    """The ids of ``tiers``, best tier first, with their positions under
+    ``method``, as CSV or JSON text."""
     try:
         operator = get_operator(method)
     except (UnknownOperator, NegativeCoefficient) as exc:
         raise UnknownMethod(str(exc)) from None
-    try:
-        positions = operator(order)
-    except NotLinear:
-        raise InputError(
-            f"method {operator.name!r} needs a linear order, but the input contains ties"
-        ) from None
-    except ValueError as exc:  # list-index reads an integer off each id
-        raise InputError(f"method {method!r}: {exc}") from None
-    # Rows go by position, then id.  Tier mates share one position object,
-    # so the bucket is looked up only when the object changes: once per
-    # tier for the operators built on ``_by_tier``, which list the ids tier
-    # by tier.
-    buckets: dict[Fraction, list[AltId]] = {}
-    last: Fraction | None = None
-    bucket: list[AltId] = []
-    for alt, position in positions.items():
-        if position is not last:
-            bucket = buckets.setdefault(position, [])
-            last = position
-        bucket.append(alt)
-    # Only the distinct positions are sorted as fractions.  A bucket of ids
-    # sorts as its labels do, by label_key only where Python cannot compare
-    # them: a json-tiers bucket that mixes int and str ids.
+    sizes = list(map(len, tiers))
+    if operator.domain is Domain.LINEAR_ONLY and len(sizes) < sum(sizes):
+        raise InputError(f"method {operator.name!r} needs a linear order, but the input contains ties")
+    # Rows go by position, then id.
+    buckets: dict[int | Fraction, list[AltId]] = {}
+    rule = operator._tier_rule
+    if rule is None:
+        order = from_tiers(tiers)
+        try:
+            positions = operator(order)
+        except ValueError as exc:  # list-index reads an integer off each id
+            raise InputError(f"method {method!r}: {exc}") from None
+        for alt, position in positions.items():
+            buckets.setdefault(position, []).append(alt)
+    else:
+        # One value per tier, read off the sizes alone.  An int value hashes,
+        # compares and prints as the equal Fraction does.
+        for position, tier in zip(rule(sizes), tiers):
+            buckets.setdefault(position, []).extend(tier)
+    # Only the distinct positions are sorted.  A bucket of ids sorts as its
+    # labels do, by label_key only where Python cannot compare them: a
+    # json-tiers bucket that mixes int and str ids.
     ranked = sorted(buckets.items(), key=itemgetter(0))
     for _, alts in ranked:
         try:
@@ -267,7 +269,7 @@ def _format_rows(order: WeakOrder, method: str, output_format: str) -> str:
         ) from None
 
 
-def _render(name: str, ranked: list[tuple[Fraction, list[AltId]]], output_format: str) -> str:
+def _render(name: str, ranked: list[tuple[int | Fraction, list[AltId]]], output_format: str) -> str:
     """The rows of each position, best first, as CSV or as JSON text."""
     if output_format == "csv":
         out = io.StringIO()
@@ -328,12 +330,12 @@ def rank_payload(
             shown = epsilon
         raise InputError(f"tie epsilon must be non-negative, got {shown}")
     if input_format == "csv-scores":
-        order = _order_from_scores(_parse_scores(text, has_header), epsilon)
+        tiers = _tiers_from_scores(_parse_scores(text, has_header), epsilon)
     elif input_format == "json-tiers":
-        order = _parse_tiers_json(text)
+        tiers = _parse_tiers_json(text)
     else:
         raise InputError(f"unknown input format {input_format!r}")
-    return _format_rows(order, method, output_format)
+    return _format_rows(tiers, method, output_format)
 
 
 def _stream(stream: TextIO | None, name: str) -> TextIO:

@@ -32,12 +32,15 @@ from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterator, Union
+from itertools import accumulate
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from .orders import AltId, WeakOrder, label_key
 
 Position = Fraction
 Rational = Union[int, Fraction, Decimal, str]
+# The values of an order's tiers, top tier first, read off its tier sizes.
+TierRule = Callable[[Sequence[int]], Iterable[Union[int, Fraction]]]
 
 __all__ = [
     "Position",
@@ -123,11 +126,11 @@ class PositionOperator:
     name: str
     domain: Domain
     fn: Callable[[WeakOrder], PositionAssignment] = field(compare=False)
-    # Set by _tier_rule_operator alone: ``fn`` gives every member of a tier
-    # one value read from the order's tier sizes, never from its labels.
-    # Not an __init__ parameter, so a public construction or a
-    # dataclasses.replace copy is unmarked.
-    _tier_rule: bool = field(default=False, init=False, repr=False, compare=False)
+    # Set by _tier_rule_operator alone: the rule ``fn`` applies, which reads
+    # the values of an order's tiers off its tier sizes, never its labels;
+    # None for any other operator.  Not an __init__ parameter, so a public
+    # construction or a dataclasses.replace copy is unmarked.
+    _tier_rule: TierRule | None = field(default=None, init=False, repr=False, compare=False)
 
     def in_domain(self, order: WeakOrder) -> bool:
         return self.domain is Domain.ALL_WEAK_ORDERS or order.is_linear
@@ -141,26 +144,43 @@ class PositionOperator:
 # ----- the principal operators --------------------------------------------
 
 
-def _by_tier(order: WeakOrder, value: Callable[[int, int, int], int | Fraction]) -> PositionAssignment:
-    """Give every member of a tier the position ``value(depth, above, size)``.
+def _by_tier(order: WeakOrder, rule: TierRule) -> PositionAssignment:
+    """Give every member of each tier the value ``rule`` gives that tier.
 
-    ``depth`` is the tier's number counted from 1 at the top, ``above`` the
-    number of alternatives in the tiers before it and ``size`` its own
-    cardinality: the three quantities the tie-aware ranks are defined by.
-    A rule returns an ``int`` or a ``Fraction``.  Only an ``int`` is wrapped,
-    so the members of a tier share one ``Fraction``, the rule's own; only
-    ``rank``'s bucketing of the rows by position relies on that.
+    The rule reads the order's tier sizes, top tier first, and returns one
+    ``int`` or ``Fraction`` per tier.  Only an ``int`` is wrapped, so the
+    members of a tier share one ``Fraction``.
     """
     positions: dict[AltId, Fraction] = {}
-    above = 0
-    for depth, tier in enumerate(order.tiers, start=1):
-        position = value(depth, above, len(tier))
-        if type(position) is not Fraction:
-            position = Fraction(position)
+    for tier, value in zip(order.tiers, rule(list(map(len, order.tiers)))):
+        position = value if type(value) is Fraction else Fraction(value)
         for alt in tier:
             positions[alt] = position
-        above += len(tier)
     return PositionAssignment(positions)
+
+
+# The rules of the tie-aware ranks.  A tier's dense rank is its number from 1
+# at the top; it covers the integer ranks one more than the count of
+# alternatives above it up to that count plus its own size.
+
+
+def _dense_rule(sizes: Sequence[int]) -> Iterable[int]:
+    return range(1, len(sizes) + 1)
+
+
+def _standard_rule(sizes: Sequence[int]) -> Iterable[int]:
+    # The first covered rank: one more than the sizes of the tiers above.
+    return accumulate(sizes[:-1], initial=1)
+
+
+def _modified_rule(sizes: Sequence[int]) -> Iterable[int]:
+    # The last covered rank: the sizes of the tiers above and its own.
+    return accumulate(sizes)
+
+
+def _fractional_rule(sizes: Sequence[int]) -> Iterable[Fraction]:
+    # The covered ranks average to the midpoint of the first and the last.
+    return [Fraction(first + last, 2) for first, last in zip(_standard_rule(sizes), _modified_rule(sizes))]
 
 
 def sequential(order: WeakOrder) -> PositionAssignment:
@@ -177,7 +197,7 @@ def dense(order: WeakOrder) -> PositionAssignment:
     Whole tiers are numbered 1, 2, 3, ... so the assigned values are
     exactly 1 through the tier count, with no gaps.
     """
-    return _by_tier(order, lambda depth, above, size: depth)
+    return _by_tier(order, _dense_rule)
 
 
 def dense_via_chain(order: WeakOrder) -> PositionAssignment:
@@ -199,24 +219,27 @@ def dense_via_chain(order: WeakOrder) -> PositionAssignment:
 
 def standard(order: WeakOrder) -> PositionAssignment:
     """Competition rank: ties get the highest rank they cover."""
-    return _by_tier(order, lambda depth, above, size: above + 1)
+    return _by_tier(order, _standard_rule)
 
 
 def modified(order: WeakOrder) -> PositionAssignment:
     """Ties get the lowest rank they cover (count of weakly-better ones)."""
-    return _by_tier(order, lambda depth, above, size: above + size)
+    return _by_tier(order, _modified_rule)
 
 
 def fractional(order: WeakOrder) -> PositionAssignment:
     """Mid-rank: ties receive the mean of the integer ranks they cover."""
-    # The covered ranks above+1 .. above+size average to their midpoint.
-    return _by_tier(order, lambda depth, above, size: Fraction(2 * above + size + 1, 2))
+    return _by_tier(order, _fractional_rule)
 
 
 # ----- foil operators -------------------------------------------------------
 #
 # Each of these is useful only because of the precise property it breaks;
 # see the expected verdict matrix in rankops.axioms.
+
+
+def _quotient_rule(sizes: Sequence[int]) -> Iterable[Fraction]:
+    return [Fraction(depth, size) for depth, size in enumerate(sizes, start=1)]
 
 
 def quotient(order: WeakOrder) -> PositionAssignment:
@@ -226,7 +249,7 @@ def quotient(order: WeakOrder) -> PositionAssignment:
     tier grows the denominator, so positions are not stable under
     duplication.
     """
-    return _by_tier(order, lambda depth, above, size: Fraction(depth, size))
+    return _by_tier(order, _quotient_rule)
 
 
 def affine(order: WeakOrder, a: Rational, b: Rational) -> PositionAssignment:
@@ -238,6 +261,12 @@ def affine(order: WeakOrder, a: Rational, b: Rational) -> PositionAssignment:
     return make_affine_operator(a, b)(order)
 
 
+def _plus_n_rule(sizes: Sequence[int]) -> Iterable[int]:
+    n = sum(sizes)
+    shift = 0 if len(sizes) == n else n
+    return [depth + shift for depth in _dense_rule(sizes)]
+
+
 def plus_n(order: WeakOrder) -> PositionAssignment:
     """Dense rank shifted by the number of alternatives off linear orders.
 
@@ -245,8 +274,7 @@ def plus_n(order: WeakOrder) -> PositionAssignment:
     tier can flip an order into the unshifted regime and change every
     surviving position.
     """
-    shift = 0 if order.is_linear else order.n
-    return _by_tier(order, lambda depth, above, size: depth + shift)
+    return _by_tier(order, _plus_n_rule)
 
 
 _TRAILING_DIGITS = re.compile(r"([0-9]+)$")
@@ -295,6 +323,10 @@ def list_index(order: WeakOrder) -> PositionAssignment:
     )
 
 
+def _dense_over_tier_count_rule(sizes: Sequence[int]) -> Iterable[Fraction]:
+    return [Fraction(depth, len(sizes)) for depth in _dense_rule(sizes)]
+
+
 def dense_over_tier_count(order: WeakOrder) -> PositionAssignment:
     """Dense rank divided by the total number of tiers.
 
@@ -302,8 +334,7 @@ def dense_over_tier_count(order: WeakOrder) -> PositionAssignment:
     removing the bottom tier shrinks the denominator and rescales every
     surviving position.
     """
-    tiers = order.num_tiers
-    return _by_tier(order, lambda depth, above, size: Fraction(depth, tiers))
+    return _by_tier(order, _dense_over_tier_count_rule)
 
 
 # ----- exact numbers from outside --------------------------------------------
@@ -416,18 +447,21 @@ def _digit_limit() -> int:
 # ----- registry -------------------------------------------------------------
 
 
-def _tier_rule_operator(
-    name: str, fn: Callable[[WeakOrder], PositionAssignment], domain: Domain = Domain.ALL_WEAK_ORDERS
-) -> PositionOperator:
-    """An operator whose ``fn`` is a ``_by_tier`` rule of ``(depth, above,
-    size)`` and of nothing but the order's tier sizes, marked as such.
+def _tier_rule_operator(name: str, rule: TierRule, domain: Domain = Domain.ALL_WEAK_ORDERS) -> PositionOperator:
+    """The operator that gives each tier of an order the value ``rule``
+    reads off the order's tier sizes, marked with that rule.
 
     A relabelling of the order then relabels its positions and changes no
     value, so :mod:`rankops.axioms` may check one order per tier-size
-    shape outside neutrality.
+    shape outside neutrality, and ``rank`` calls the rule on the tier sizes
+    without building the order.
     """
+
+    def fn(order: WeakOrder) -> PositionAssignment:
+        return _by_tier(order, rule)
+
     op = PositionOperator(name=name, domain=domain, fn=fn)
-    object.__setattr__(op, "_tier_rule", True)
+    object.__setattr__(op, "_tier_rule", rule)
     return op
 
 
@@ -446,26 +480,28 @@ def make_affine_operator(
         name = f"affine:a={a.numerator}/{a.denominator},b={b.numerator}/{b.denominator}"
     # a * depth + b over the common denominator, built as one Fraction.
     an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
-    def rule(depth: int, above: int, size: int) -> Fraction:
-        return Fraction(an * bd * depth + bn * ad, ad * bd)
 
-    return _tier_rule_operator(name, lambda order: _by_tier(order, rule))
+    def rule(sizes: Sequence[int]) -> Iterable[Fraction]:
+        return [Fraction(an * bd * depth + bn * ad, ad * bd) for depth in _dense_rule(sizes)]
+
+    return _tier_rule_operator(name, rule)
 
 
 def _register() -> dict[str, PositionOperator]:
     entries = [
-        _tier_rule_operator("dense", dense),
+        _tier_rule_operator("dense", _dense_rule),
         PositionOperator("dense-chain", Domain.ALL_WEAK_ORDERS, dense_via_chain),
-        _tier_rule_operator("standard", standard),
-        _tier_rule_operator("modified", modified),
-        _tier_rule_operator("fractional", fractional),
-        _tier_rule_operator("sequential", sequential, Domain.LINEAR_ONLY),
-        _tier_rule_operator("quotient", quotient),
+        _tier_rule_operator("standard", _standard_rule),
+        _tier_rule_operator("modified", _modified_rule),
+        _tier_rule_operator("fractional", _fractional_rule),
+        # On a linear order each tier is one alternative: dense counts 1..n.
+        _tier_rule_operator("sequential", _dense_rule, Domain.LINEAR_ONLY),
+        _tier_rule_operator("quotient", _quotient_rule),
         # Canonical non-identity instance; other coefficients via get_operator.
         make_affine_operator(2, 1, name="affine"),
-        _tier_rule_operator("plus-n", plus_n),
+        _tier_rule_operator("plus-n", _plus_n_rule),
         PositionOperator("list-index", Domain.ALL_WEAK_ORDERS, list_index),
-        _tier_rule_operator("dense-over-tiercount", dense_over_tier_count),
+        _tier_rule_operator("dense-over-tiercount", _dense_over_tier_count_rule),
     ]
     return {entry.name: entry for entry in entries}
 

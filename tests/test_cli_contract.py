@@ -315,7 +315,8 @@ def test_cli_contract(argv, data, via_file):
     if argv[:1] == ["verify"]:
         # The last --max-n wins, so the engine never runs beyond n = 3.
         argv = [*argv, "--max-n", "3"]
-    out, err = io.StringIO(), io.StringIO()
+    # A stdout that, like a process's, refuses text UTF-8 cannot encode.
+    out, err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8"), io.StringIO()
     with tempfile.TemporaryDirectory() as work, contextlib.chdir(work):
         if via_file:
             Path("input").write_bytes(data)

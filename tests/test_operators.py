@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import time
 from collections.abc import ItemsView
 from fractions import Fraction as F
@@ -357,9 +358,9 @@ def test_assignment_repr_lists_alternatives_in_label_order():
 def test_by_tier_hands_every_tier_member_the_rules_own_fraction(four_tier_ten):
     returned = []
 
-    def rule(depth, above, size):
-        returned.append(F(2 * above + size + 1, 2))
-        return returned[-1]
+    def rule(sizes):
+        returned.extend(F(size, 2) for size in sizes)
+        return returned
 
     positions = _by_tier(four_tier_ten, rule)
     assert len(returned) == four_tier_ten.num_tiers
@@ -368,7 +369,7 @@ def test_by_tier_hands_every_tier_member_the_rules_own_fraction(four_tier_ten):
 
 
 def test_by_tier_wraps_an_int_rule_value_as_a_fraction(four_tier_ten):
-    positions = _by_tier(four_tier_ten, lambda depth, above, size: above + size)
+    positions = _by_tier(four_tier_ten, itertools.accumulate)
     for tier in four_tier_ten.tiers:
         assert all(type(positions[alt]) is F for alt in tier)
     assert positions == modified(four_tier_ten)
@@ -435,6 +436,43 @@ def test_tier_rules_match_per_alternative_definitions_exhaustive():
         if order.is_linear:
             positions = sequential(order)
             assert all(positions[alt] == n - order.dominated_count(alt) for alt in order.ground)
+
+
+# The public function of each tier rule, which the test above holds to the
+# formula it was first written as.
+PUBLIC_TIER_RULES = {
+    "dense": dense,
+    "standard": standard,
+    "modified": modified,
+    "fractional": fractional,
+    "sequential": sequential,
+    "quotient": quotient,
+    "plus-n": plus_n,
+    "dense-over-tiercount": dense_over_tier_count,
+    "affine": lambda order: affine(order, 2, 1),
+    "affine:a=0/1,b=3/2": lambda order: affine(order, 0, F(3, 2)),
+    "affine:a=1/3,b=2": lambda order: affine(order, F(1, 3), 2),
+}
+
+
+def test_each_tier_rule_gives_each_tier_its_public_position_exhaustive():
+    """The rule a marked operator carries, called on the tier sizes alone,
+    gives one int or Fraction per tier: the position its public function
+    gives every member of that tier."""
+    marked = {name for name, op in REGISTRY.items() if op._tier_rule is not None}
+    assert marked | {"affine:a=0/1,b=3/2", "affine:a=1/3,b=2"} == set(PUBLIC_TIER_RULES)
+    for order in support.orders_up_to(5):
+        sizes = [len(tier) for tier in order.tiers]
+        for name, public in PUBLIC_TIER_RULES.items():
+            op = get_operator(name)
+            if not op.in_domain(order):
+                continue
+            values = list(op._tier_rule(sizes))
+            assert len(values) == order.num_tiers, name
+            assert all(type(value) in (int, F) for value in values), name
+            positions = public(order)
+            for tier, value in zip(order.tiers, values):
+                assert all(positions[alt] == value for alt in tier), (name, order)
 
 
 def test_every_position_is_a_fraction_exhaustive():

@@ -4,6 +4,7 @@ differential test against the earlier all-``Fraction`` implementation."""
 from __future__ import annotations
 
 import csv
+import dataclasses
 import importlib.util
 import io
 import json
@@ -11,14 +12,16 @@ import re
 import subprocess
 import sys
 import time
+from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 import support
 from hypothesis import given, settings, strategies as st
 
-from rankops import OPERATOR_NAMES, WeakOrder, cli, dense, from_tiers, label_key, weak_order_to_json
+from rankops import OPERATOR_NAMES, REGISTRY, WeakOrder, cli, dense, from_tiers, label_key, weak_order_to_json
 from rankops.cli import (
     EXIT_PIPE_CLOSED,
     DuplicateId,
@@ -242,6 +245,59 @@ def test_json_tiers_match_the_label_key_reference(order, method, output_format):
     assert actual == expected
 
 
+# ----- the per-tier path against the per-alternative path ---------------------
+
+# Every method that rank evaluates by its tier rule.
+MARKED_METHODS = (
+    *(name for name, op in REGISTRY.items() if op._tier_rule is not None),
+    "affine:a=0/1,b=3/2",
+    "affine:a=1/3,b=2",
+)
+
+
+def _both_paths(run) -> tuple[tuple[object, str], tuple[object, str]]:
+    """What ``run`` returns or the error it raises, with the method's tier
+    rule and again with the method unmarked, so that every position comes
+    from ``op(from_tiers(...))``."""
+
+    def outcome() -> tuple[object, str]:
+        try:
+            return "ok", run()
+        except InputError as exc:
+            return type(exc), str(exc)
+
+    per_tier = outcome()
+    with mock.patch.object(cli, "get_operator", lambda name: dataclasses.replace(get_operator(name))):
+        return per_tier, outcome()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    csv_texts(),
+    st.sampled_from(MARKED_METHODS),
+    st.sampled_from(["csv", "json"]),
+    st.sampled_from(EPSILONS),
+)
+def test_tier_rules_rank_as_the_per_alternative_path(data, method, output_format, epsilon):
+    text, has_header = data
+    per_tier, per_alternative = _both_paths(
+        lambda: rank_payload(
+            text, method=method, output_format=output_format, tie_epsilon=epsilon, has_header=has_header
+        )
+    )
+    assert per_tier == per_alternative
+
+
+@settings(max_examples=200, deadline=None)
+@given(json_tier_orders(), st.sampled_from(MARKED_METHODS), st.sampled_from(["csv", "json"]))
+def test_tier_rules_rank_json_tiers_as_the_per_alternative_path(order, method, output_format):
+    text = json.dumps(weak_order_to_json(order))
+    per_tier, per_alternative = _both_paths(
+        lambda: rank_payload(text, method=method, input_format="json-tiers", output_format=output_format)
+    )
+    assert per_tier == per_alternative
+
+
 # ----- score syntax ----------------------------------------------------------
 
 
@@ -438,23 +494,31 @@ def test_ids_are_sorted_and_quoted_without_a_call_per_id(monkeypatch):
 
 @pytest.mark.parametrize("method", ["dense", "fractional"])
 def test_positions_are_bucketed_once_per_tier(method, monkeypatch):
-    text = bench_inputs.ties_csv(1)
-    groups = cli._parse_scores(text, has_header=False)
-    order = cli._order_from_scores(groups, parse_exact(bench_inputs.TIES_EPSILON))
-    tiers = len(order.tiers)
-    fraction_hash = Fraction.__hash__
-    hashed = 0
+    """A tier rule runs on the tier sizes: rank builds no WeakOrder, dense
+    no Fraction, and fractional hashes at most one Fraction per tier."""
+    text, epsilon = bench_inputs.ties_csv(1), bench_inputs.TIES_EPSILON
+    expected = rank_payload(text, method=method, tie_epsilon=epsilon)
+    tiers = len(cli._tiers_from_scores(cli._parse_scores(text, has_header=False), parse_exact(epsilon)))
+    calls: Counter[str] = Counter()
 
-    def counted(self):
-        nonlocal hashed
-        hashed += 1
-        return fraction_hash(self)
+    def counted(name, function):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+
+        return call
 
     with monkeypatch.context() as patch:
-        patch.setattr(Fraction, "__hash__", counted)
-        out = cli._format_rows(order, method, "csv")
-    assert 0 < hashed <= tiers
-    assert out == rank_payload(text, method=method, tie_epsilon=bench_inputs.TIES_EPSILON)
+        patch.setattr(WeakOrder, "__init__", counted("orders", WeakOrder.__init__))
+        patch.setattr(Fraction, "__new__", staticmethod(counted("fractions", Fraction.__new__)))
+        patch.setattr(Fraction, "__hash__", counted("hashes", Fraction.__hash__))
+        out = rank_payload(text, method=method, tie_epsilon=epsilon)
+    assert out == expected
+    assert calls["orders"] == 0
+    if method == "dense":
+        assert calls["fractions"] == calls["hashes"] == 0
+    else:
+        assert 0 < calls["hashes"] <= tiers
 
 
 @pytest.mark.parametrize(
