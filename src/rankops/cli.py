@@ -203,10 +203,21 @@ def _json_int(digits: str) -> int:
         raise ParseError(str(exc)) from None
 
 
+def _json_object(pairs: list[tuple[str, object]]) -> dict[str, object]:
+    """A JSON object that names no key twice: with two ``"tiers"``, which
+    order is meant would be a guess."""
+    payload: dict[str, object] = {}
+    for key, value in pairs:
+        if key in payload:
+            raise ParseError(f"JSON object has the key {key!r} twice")
+        payload[key] = value
+    return payload
+
+
 def _parse_tiers_json(text: str) -> tuple[frozenset[AltId], ...]:
     """The tiers of a JSON order, best first, once they are known to be one."""
     try:
-        payload = json.loads(text, parse_int=_json_int)
+        payload = json.loads(text, parse_int=_json_int, object_pairs_hook=_json_object)
     except (ValueError, RecursionError) as exc:
         # Malformed JSON, or nesting deeper than the recursion limit.
         raise ParseError(f"invalid JSON: {exc}") from None

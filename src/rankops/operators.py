@@ -20,7 +20,10 @@ The module also ships a family of deliberately flawed operators
 invariance property while keeping the others, which makes them the
 standard foils for the axiom checks in :mod:`rankops.axioms`.  Every
 operator, good or flawed, is registered by name so the checking engine
-can iterate over the full set uniformly.
+can iterate over the full set uniformly.  A public operator name such as
+``dense`` or ``list_index`` is its registry entry, the one
+:class:`PositionOperator` that the engine and ``rank`` use too; only
+``affine``, which takes its coefficients, is a function.
 """
 
 from __future__ import annotations
@@ -159,6 +162,24 @@ def _by_tier(order: WeakOrder, rule: TierRule) -> PositionAssignment:
     return PositionAssignment(positions)
 
 
+def _tier_rule_operator(name: str, rule: TierRule, domain: Domain = Domain.ALL_WEAK_ORDERS) -> PositionOperator:
+    """The operator that gives each tier of an order the value ``rule``
+    reads off the order's tier sizes, marked with that rule.
+
+    A relabelling of the order then relabels its positions and changes no
+    value, so :mod:`rankops.axioms` may check one order per tier-size
+    shape outside neutrality, and ``rank`` calls the rule on the tier sizes
+    without building the order.
+    """
+
+    def fn(order: WeakOrder) -> PositionAssignment:
+        return _by_tier(order, rule)
+
+    op = PositionOperator(name=name, domain=domain, fn=fn)
+    object.__setattr__(op, "_tier_rule", rule)
+    return op
+
+
 # The rules of the tie-aware ranks.  A tier's dense rank is its number from 1
 # at the top; it covers the integer ranks one more than the count of
 # alternatives above it up to that count plus its own size.
@@ -183,31 +204,17 @@ def _fractional_rule(sizes: Sequence[int]) -> Iterable[Fraction]:
     return [Fraction(first + last, 2) for first, last in zip(_standard_rule(sizes), _modified_rule(sizes))]
 
 
-def sequential(order: WeakOrder) -> PositionAssignment:
-    """The unique 1..n assignment on a linear order, best first."""
-    if not order.is_linear:
-        raise NotLinear("sequential positions require a linear order")
-    # On a linear order every tier is one alternative, numbered 1..n.
-    return dense(order)
+# The unique 1..n assignment on a linear order, best first.  On a linear
+# order each tier is one alternative, so the dense rule counts 1..n.
+sequential = _tier_rule_operator("sequential", _dense_rule, Domain.LINEAR_ONLY)
+
+# Dense rank: one more than the number of tiers strictly above.  Whole tiers
+# are numbered 1, 2, 3, ... so the assigned values are exactly 1 through the
+# tier count, with no gaps.
+dense = _tier_rule_operator("dense", _dense_rule)
 
 
-def dense(order: WeakOrder) -> PositionAssignment:
-    """Dense rank: one more than the number of tiers strictly above.
-
-    Whole tiers are numbered 1, 2, 3, ... so the assigned values are
-    exactly 1 through the tier count, with no gaps.
-    """
-    return _by_tier(order, _dense_rule)
-
-
-def dense_via_chain(order: WeakOrder) -> PositionAssignment:
-    """Dense rank computed along a maximal strict chain.
-
-    The chain's elements receive 1, 2, ... down the chain, and each value
-    is propagated to all alternatives with the same dominated count.  This
-    is an independent route to the same assignment as :func:`dense` and is
-    kept as a cross-check.
-    """
+def _chain_positions(order: WeakOrder) -> PositionAssignment:
     by_count = {
         order.dominated_count(rep): Fraction(depth)
         for depth, rep in enumerate(order.maximal_chain(), start=1)
@@ -217,19 +224,20 @@ def dense_via_chain(order: WeakOrder) -> PositionAssignment:
     )
 
 
-def standard(order: WeakOrder) -> PositionAssignment:
-    """Competition rank: ties get the highest rank they cover."""
-    return _by_tier(order, _standard_rule)
+# Dense rank computed along a maximal strict chain.  The chain's elements
+# receive 1, 2, ... down the chain, and each value is propagated to all
+# alternatives with the same dominated count.  This is an independent route
+# to the same assignment as ``dense`` and is kept as a cross-check.
+dense_via_chain = PositionOperator("dense-chain", Domain.ALL_WEAK_ORDERS, _chain_positions)
 
+# Competition rank: ties get the highest rank they cover.
+standard = _tier_rule_operator("standard", _standard_rule)
 
-def modified(order: WeakOrder) -> PositionAssignment:
-    """Ties get the lowest rank they cover (count of weakly-better ones)."""
-    return _by_tier(order, _modified_rule)
+# Ties get the lowest rank they cover (count of weakly-better ones).
+modified = _tier_rule_operator("modified", _modified_rule)
 
-
-def fractional(order: WeakOrder) -> PositionAssignment:
-    """Mid-rank: ties receive the mean of the integer ranks they cover."""
-    return _by_tier(order, _fractional_rule)
+# Mid-rank: ties receive the mean of the integer ranks they cover.
+fractional = _tier_rule_operator("fractional", _fractional_rule)
 
 
 # ----- foil operators -------------------------------------------------------
@@ -242,14 +250,10 @@ def _quotient_rule(sizes: Sequence[int]) -> Iterable[Fraction]:
     return [Fraction(depth, size) for depth, size in enumerate(sizes, start=1)]
 
 
-def quotient(order: WeakOrder) -> PositionAssignment:
-    """Dense rank divided by the size of the alternative's own tier.
-
-    Coincides with the dense rank on linear orders, but cloning into a
-    tier grows the denominator, so positions are not stable under
-    duplication.
-    """
-    return _by_tier(order, _quotient_rule)
+# Dense rank divided by the size of the alternative's own tier.  Coincides
+# with the dense rank on linear orders, but cloning into a tier grows the
+# denominator, so positions are not stable under duplication.
+quotient = _tier_rule_operator("quotient", _quotient_rule)
 
 
 def affine(order: WeakOrder, a: Rational, b: Rational) -> PositionAssignment:
@@ -267,14 +271,10 @@ def _plus_n_rule(sizes: Sequence[int]) -> Iterable[int]:
     return [depth + shift for depth in _dense_rule(sizes)]
 
 
-def plus_n(order: WeakOrder) -> PositionAssignment:
-    """Dense rank shifted by the number of alternatives off linear orders.
-
-    The shift switches off exactly on linear orders, so deleting a bottom
-    tier can flip an order into the unshifted regime and change every
-    surviving position.
-    """
-    return _by_tier(order, _plus_n_rule)
+# Dense rank shifted by the number of alternatives off linear orders.  The
+# shift switches off exactly on linear orders, so deleting a bottom tier can
+# flip an order into the unshifted regime and change every surviving position.
+plus_n = _tier_rule_operator("plus-n", _plus_n_rule)
 
 
 _TRAILING_DIGITS = re.compile(r"([0-9]+)$")
@@ -310,31 +310,28 @@ def _intrinsic_label_value(label: AltId) -> Fraction:
     return Fraction(numerator, 257**k)
 
 
-def list_index(order: WeakOrder) -> PositionAssignment:
-    """Positions taken from the labels alone, e.g. x3 is always third.
-
-    Because the value is intrinsic to the label, restricting or reshaping
-    the order never moves anybody, but the assignment is blind to the
-    preference structure (tied alternatives get distinct positions, and a
-    label numbered against the ranking breaks the 1..n sequence).
-    """
+def _label_positions(order: WeakOrder) -> PositionAssignment:
     return PositionAssignment(
         {alt: _intrinsic_label_value(alt) for alt in order.ground}
     )
+
+
+# Positions taken from the labels alone, e.g. x3 is always third.  Because the
+# value is intrinsic to the label, restricting or reshaping the order never
+# moves anybody, but the assignment is blind to the preference structure
+# (tied alternatives get distinct positions, and a label numbered against the
+# ranking breaks the 1..n sequence).
+list_index = PositionOperator("list-index", Domain.ALL_WEAK_ORDERS, _label_positions)
 
 
 def _dense_over_tier_count_rule(sizes: Sequence[int]) -> Iterable[Fraction]:
     return [Fraction(depth, len(sizes)) for depth in _dense_rule(sizes)]
 
 
-def dense_over_tier_count(order: WeakOrder) -> PositionAssignment:
-    """Dense rank divided by the total number of tiers.
-
-    A contraction of the dense rank: cloning keeps it unchanged, but
-    removing the bottom tier shrinks the denominator and rescales every
-    surviving position.
-    """
-    return _by_tier(order, _dense_over_tier_count_rule)
+# Dense rank divided by the total number of tiers.  A contraction of the dense
+# rank: cloning keeps it unchanged, but removing the bottom tier shrinks the
+# denominator and rescales every surviving position.
+dense_over_tier_count = _tier_rule_operator("dense-over-tiercount", _dense_over_tier_count_rule)
 
 
 # ----- exact numbers from outside --------------------------------------------
@@ -447,24 +444,6 @@ def _digit_limit() -> int:
 # ----- registry -------------------------------------------------------------
 
 
-def _tier_rule_operator(name: str, rule: TierRule, domain: Domain = Domain.ALL_WEAK_ORDERS) -> PositionOperator:
-    """The operator that gives each tier of an order the value ``rule``
-    reads off the order's tier sizes, marked with that rule.
-
-    A relabelling of the order then relabels its positions and changes no
-    value, so :mod:`rankops.axioms` may check one order per tier-size
-    shape outside neutrality, and ``rank`` calls the rule on the tier sizes
-    without building the order.
-    """
-
-    def fn(order: WeakOrder) -> PositionAssignment:
-        return _by_tier(order, rule)
-
-    op = PositionOperator(name=name, domain=domain, fn=fn)
-    object.__setattr__(op, "_tier_rule", rule)
-    return op
-
-
 def make_affine_operator(
     a: Rational, b: Rational, name: str | None = None
 ) -> PositionOperator:
@@ -487,26 +466,24 @@ def make_affine_operator(
     return _tier_rule_operator(name, rule)
 
 
-def _register() -> dict[str, PositionOperator]:
-    entries = [
-        _tier_rule_operator("dense", _dense_rule),
-        PositionOperator("dense-chain", Domain.ALL_WEAK_ORDERS, dense_via_chain),
-        _tier_rule_operator("standard", _standard_rule),
-        _tier_rule_operator("modified", _modified_rule),
-        _tier_rule_operator("fractional", _fractional_rule),
-        # On a linear order each tier is one alternative: dense counts 1..n.
-        _tier_rule_operator("sequential", _dense_rule, Domain.LINEAR_ONLY),
-        _tier_rule_operator("quotient", _quotient_rule),
+# In this order the report lists the operators.
+REGISTRY: dict[str, PositionOperator] = {
+    op.name: op
+    for op in (
+        dense,
+        dense_via_chain,
+        standard,
+        modified,
+        fractional,
+        sequential,
+        quotient,
         # Canonical non-identity instance; other coefficients via get_operator.
         make_affine_operator(2, 1, name="affine"),
-        _tier_rule_operator("plus-n", _plus_n_rule),
-        PositionOperator("list-index", Domain.ALL_WEAK_ORDERS, list_index),
-        _tier_rule_operator("dense-over-tiercount", _dense_over_tier_count_rule),
-    ]
-    return {entry.name: entry for entry in entries}
-
-
-REGISTRY: dict[str, PositionOperator] = _register()
+        plus_n,
+        list_index,
+        dense_over_tier_count,
+    )
+}
 OPERATOR_NAMES: tuple[str, ...] = tuple(REGISTRY)
 
 

@@ -159,6 +159,21 @@ def test_rank_json_tiers_refuses_a_label_repeated_within_a_tier(tmp_path, capsys
     assert capsys.readouterr() == ("", "error: alternative 'a' appears twice in tier 0\n")
 
 
+def test_rank_json_tiers_refuses_a_repeated_key(tmp_path, capsys):
+    """Two "tiers" keys would leave the order to a guess; an unknown key
+    beside "tiers" is still ignored."""
+    text = '{"tiers":[["a"],["b"]],"tiers":[["b"],["a"]]}'
+    with pytest.raises(ParseError) as excinfo:
+        rank_payload(text, method="dense", input_format="json-tiers")
+    assert str(excinfo.value) == "JSON object has the key 'tiers' twice"
+    path = tmp_path / "tiers.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["rank", "--method", "dense", "--input-format", "json-tiers", str(path)]) == 2
+    assert capsys.readouterr() == ("", "error: JSON object has the key 'tiers' twice\n")
+    out = rank_payload('{"tiers":[["a"],["b"]],"note":1}', method="dense", input_format="json-tiers")
+    assert out == "id,position\na,1\nb,2\n"
+
+
 @pytest.mark.parametrize(
     "text, input_format, error",
     [
@@ -289,6 +304,54 @@ def test_main_verify_unwritable_report_is_input_error(tmp_path, monkeypatch, cap
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "before, after",
+    [
+        (["rank"], ["--method", "dense", "FILE"]),
+        (["rank", "--has-header"], ["--method", "dense", "FILE"]),
+        (["rank", "--method", "dense", "FILE"], []),
+        (["rank", "--method", "dense", "--has-header", "FILE"], []),
+    ],
+    ids=["first-odd", "first-even", "last-even", "last-odd"],
+)
+def test_main_joins_a_negative_tie_epsilon_given_apart(tmp_path, capsys, before, after):
+    """``--tie-epsilon -1/3`` as two arguments, before another option or
+    after the file, after an odd or an even number of arguments."""
+    path = tmp_path / "scores.csv"
+    path.write_text("a,1\n", encoding="utf-8")
+    argv = [str(path) if arg == "FILE" else arg for arg in (*before, "--tie-epsilon", "-1/3", *after)]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "error: tie epsilon must be non-negative, got -1/3\n")
+
+
+@pytest.mark.parametrize("length", [200, 201])
+def test_main_cuts_an_error_line_after_200_characters(tmp_path, capsys, length):
+    path = tmp_path / "scores.csv"
+    path.write_text("a,1\n", encoding="utf-8")
+    name = "m" * (length - len("no operator named ''"))
+    message = f"no operator named {name!r}"
+    assert len(message) == length
+    assert main(["rank", "--method", name, str(path)]) == 2
+    shown = message if length <= 200 else message[:200] + "..."
+    assert capsys.readouterr() == ("", f"error: {shown}\n")
+
+
+def test_main_verify_accepts_max_n_7_without_running_it(monkeypatch, capsys):
+    calls = []
+
+    def engine(max_n):
+        calls.append(max_n)
+        return {"maxN": max_n}, True
+
+    monkeypatch.setattr("rankops.cli.build_verification_document", engine)
+    assert main(["verify", "--max-n", "7"]) == 0
+    assert calls == [7]
+    assert capsys.readouterr() == ('{\n  "maxN": 7\n}\n', "verification at max n = 7: all as expected\n")
+    assert main(["verify", "--max-n", "8"]) == 2
+    assert calls == [7]
+    assert capsys.readouterr() == ("", "error: --max-n must be between 3 and 7, got 8\n")
 
 
 # ----- true end-to-end through the interpreter -----------------------------------

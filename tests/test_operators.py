@@ -54,6 +54,7 @@ def test_rank_values_with_shared_top(two_tied_top):
         (modified, [1, 3, 7, 10]),
         (fractional, [1, F(5, 2), F(11, 2), 9]),
     ],
+    ids=lambda value: value.name if hasattr(value, "name") else None,
 )
 def test_rank_values_on_four_tier_example(four_tier_ten, operator, per_tier):
     positions = operator(four_tier_ten)
@@ -294,6 +295,31 @@ def test_registry_dispatch_matches_functions(two_tied_top):
     assert REGISTRY["affine"](two_tied_top) == affine(two_tied_top, 2, 1)
 
 
+PUBLIC_OPERATORS = (
+    dense,
+    dense_via_chain,
+    standard,
+    modified,
+    fractional,
+    sequential,
+    quotient,
+    plus_n,
+    list_index,
+    dense_over_tier_count,
+)
+
+
+def test_each_public_operator_name_is_its_registry_entry(two_tied_top):
+    """One object per operator: calling a public name is calling the
+    registered operator, so a linear-only one refuses a tie in one place."""
+    assert len({op.name for op in PUBLIC_OPERATORS}) == 10
+    for op in PUBLIC_OPERATORS:
+        assert REGISTRY[op.name] is op
+        assert get_operator(op.name) is op
+    with pytest.raises(NotLinear, match="operator 'sequential' is defined on linear orders only"):
+        sequential(two_tied_top)
+
+
 def test_registry_enforces_domains(two_tied_top):
     operator = REGISTRY["sequential"]
     assert not operator.in_domain(two_tied_top)
@@ -438,8 +464,9 @@ def test_tier_rules_match_per_alternative_definitions_exhaustive():
             assert all(positions[alt] == n - order.dominated_count(alt) for alt in order.ground)
 
 
-# The public function of each tier rule, which the test above holds to the
-# formula it was first written as.
+# The public name of each tier rule, which is its registered operator (the
+# test above holds it to the formula it was first written as); affine is the
+# one function, taking its coefficients.
 PUBLIC_TIER_RULES = {
     "dense": dense,
     "standard": standard,
@@ -457,8 +484,8 @@ PUBLIC_TIER_RULES = {
 
 def test_each_tier_rule_gives_each_tier_its_public_position_exhaustive():
     """The rule a marked operator carries, called on the tier sizes alone,
-    gives one int or Fraction per tier: the position its public function
-    gives every member of that tier."""
+    gives one int or Fraction per tier: the position its public name gives
+    every member of that tier."""
     marked = {name for name, op in REGISTRY.items() if op._tier_rule is not None}
     assert marked | {"affine:a=0/1,b=3/2", "affine:a=1/3,b=2"} == set(PUBLIC_TIER_RULES)
     for order in support.orders_up_to(5):

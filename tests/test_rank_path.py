@@ -353,6 +353,11 @@ def test_decimal_and_fraction_scores_share_a_tier():
     assert {type(parse_exact(t)) for t in ("0.5", "1/2")} == {Decimal, Fraction}
 
 
+def test_a_line_of_spaces_is_no_row():
+    for method in ("dense", "dense-chain"):
+        assert rank_payload("a,1\n   \nb,2\n", method=method) == rank_payload("a,1\nb,2\n", method=method)
+
+
 # ----- no short input runs unbounded -----------------------------------------
 
 HUGE_LIMIT_S = 20.0
