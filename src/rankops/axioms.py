@@ -219,8 +219,12 @@ class _Positions:
         """Each alternative's position in ``order`` as its pair, untabled."""
         intern = self.pairs.setdefault
         result = {}
+        # as_integer_ratio builds the pair in one call, where .numerator and
+        # .denominator are two property calls.  The operator itself is
+        # called, not its fn: its __call__ is where a linear-only operator
+        # refuses a tie, and where bench/tracing.py counts evaluations.
         for alt, value in self.op(order).items():
-            pair = (value.numerator, value.denominator)
+            pair = value.as_integer_ratio()
             result[alt] = intern(pair, pair)
         return result
 

@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
@@ -146,17 +147,26 @@ class PositionOperator:
 
 # ----- the principal operators --------------------------------------------
 
+# The whole-number position k as a Fraction, built once for each k while it is
+# held: the engine evaluates orders whose positions are a few small whole
+# numbers tens of thousands of times.  Bounded, so that orders with many
+# distinct whole-number positions cannot grow it without limit; a value it has
+# dropped is built again, just as exact.
+_whole = lru_cache(maxsize=256)(Fraction)
+
 
 def _by_tier(order: WeakOrder, rule: TierRule) -> PositionAssignment:
     """Give every member of each tier the value ``rule`` gives that tier.
 
     The rule reads the order's tier sizes, top tier first, and returns one
-    ``int`` or ``Fraction`` per tier.  Only an ``int`` is wrapped, so the
-    members of a tier share one ``Fraction``.
+    ``int`` or ``Fraction`` per tier.  A ``Fraction`` is handed out as it
+    is, and an ``int`` as its shared :data:`_whole` constant rather than a
+    new ``Fraction`` per evaluation, so the members of a tier share one
+    ``Fraction`` either way.
     """
     positions: dict[AltId, Fraction] = {}
     for tier, value in zip(order.tiers, rule(list(map(len, order.tiers)))):
-        position = value if type(value) is Fraction else Fraction(value)
+        position = value if type(value) is Fraction else _whole(value)
         for alt in tier:
             positions[alt] = position
     return PositionAssignment(positions)
@@ -216,7 +226,7 @@ dense = _tier_rule_operator("dense", _dense_rule)
 
 def _chain_positions(order: WeakOrder) -> PositionAssignment:
     by_count = {
-        order.dominated_count(rep): Fraction(depth)
+        order.dominated_count(rep): _whole(depth)
         for depth, rep in enumerate(order.maximal_chain(), start=1)
     }
     return PositionAssignment(
@@ -291,13 +301,13 @@ def _intrinsic_label_value(label: AltId) -> Fraction:
     digits than Python prints raises ``ValueError``.
     """
     if isinstance(label, int):
-        return Fraction(label)
+        return _whole(label)
     limit = _digit_limit()
     match = _TRAILING_DIGITS.search(label)
     if match:
         if len(match.group(1)) > limit:
             raise ValueError(f"label ends in more digits than Python prints ({limit})")
-        return Fraction(int(match.group(1)))
+        return _whole(int(match.group(1)))
     data = label.encode("utf-8")
     # 10**(2k) < 257**k < 10**(3k), so only a length between the two bounds
     # needs the exact comparison.

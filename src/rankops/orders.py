@@ -217,7 +217,12 @@ class WeakOrder:
 
     def dominated_count(self, alt: AltId) -> int:
         """Number of alternatives strictly below ``alt``."""
-        return self._below[self.tier_index_of(alt)]
+        # Read directly rather than through tier_index_of: dense-chain asks
+        # once per alternative on every evaluation.
+        try:
+            return self._below[self._index[alt]]
+        except KeyError:
+            raise UnknownAlternative(f"unknown alternative {alt!r}") from None
 
     def sorted_alternatives(self) -> list[AltId]:
         """All alternatives in the canonical label order."""
@@ -232,9 +237,17 @@ class WeakOrder:
 
         Consecutive elements are strictly ordered, and no strict chain in
         the order can be longer.  The representative is always the
-        smallest label in its tier so that the result is reproducible.
+        smallest label in its tier, in :func:`label_key` order, so that the
+        result is reproducible.
         """
-        return tuple(min(tier, key=label_key) for tier in self.tiers)
+        # On a tier of int labels only, or of str labels only, label_key
+        # orders the labels as < does, so a plain min picks the same label
+        # without a key call per label.  Only a tier that mixes the two makes
+        # < raise, and then label_key's order (ints first) is taken.
+        try:
+            return tuple(map(min, self.tiers))
+        except TypeError:
+            return tuple(min(tier, key=label_key) for tier in self.tiers)
 
     # ----- transforms ----------------------------------------------------
 

@@ -37,6 +37,7 @@ from rankops import (
     standard,
 )
 from rankops.axioms import _DEFINITIONS, _Universe
+from rankops.cli import main
 from rankops.operators import _by_tier, _dense_rule
 
 AXIOMS = tuple(Axiom)
@@ -425,6 +426,18 @@ def test_report_bytes_are_pinned(max_n):
     assert hashlib.sha256(data).hexdigest() == REPORT_SHA256[max_n]
 
 
+def test_verify_command_writes_the_pinned_bytes(tmp_path, capsysbinary):
+    """The command's own serialisation, to stdout and to ``--report``, gives
+    the pinned bytes; the test above serialises the document itself."""
+    assert main(["verify", "--max-n", "3"]) == 0
+    stdout = capsysbinary.readouterr().out
+    report = tmp_path / "report.json"
+    assert main(["verify", "--max-n", "3", "--report", str(report)]) == 0
+    assert capsysbinary.readouterr().out == b""
+    for data in (stdout, report.read_bytes()):
+        assert hashlib.sha256(data).hexdigest() == REPORT_SHA256[3]
+
+
 # ----- the shared universe and position tables -------------------------------
 
 
@@ -522,6 +535,20 @@ def test_a_cell_checked_alone_evaluates_only_the_orders_it_speaks_of(monkeypatch
     report = check(REGISTRY["dense-chain"], Axiom.SEQUENTIALITY, 5)
     assert report.verdict is Verdict.PASS
     assert report.cases_checked == sum(evaluated.values()) == 153
+
+
+def test_evaluate_hands_out_each_position_as_its_pair():
+    universe = _Universe(4)
+    fractional = set()
+    for op in REGISTRY.values():
+        positions = universe.positions(op)
+        for order in support.orders_up_to(4):
+            if op.in_domain(order):
+                expected = {alt: (value.numerator, value.denominator) for alt, value in op(order).items()}
+                assert positions.evaluate(order) == expected, (op.name, order)
+                if any(denominator != 1 for _, denominator in expected.values()):
+                    fractional.add(op.name)
+    assert fractional == {"fractional", "quotient", "dense-over-tiercount"}
 
 
 # ----- one order per tier-size shape ------------------------------------------------

@@ -486,8 +486,15 @@ NO_DEV_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /de
 )
 def test_subprocess_failed_or_missing_stream_is_one_line(tmp_path, args, redirect, code):
     (tmp_path / "scores.csv").write_text(SCORES, encoding="utf-8")
-    # The shell applies the redirection, then runs the CLI in its place.
-    result = support.run(["sh", "-c", f'exec "$@" {redirect}', "sh", *support.CLI, *args], cwd=tmp_path)
+    # The shell applies the redirection, then runs the CLI in its place.  A
+    # buffered stdout still holds the output after a failed write; unless
+    # main drops it, the interpreter's own flush at exit fails again, with a
+    # second message and exit 120.  So the child's stdout is left buffered.
+    result = support.run(
+        ["sh", "-c", f'exec "$@" {redirect}', "sh", *support.CLI, *args],
+        env=support.env(PYTHONUNBUFFERED=None),
+        cwd=tmp_path,
+    )
     assert result.returncode == code, result.stderr
     assert result.stderr.count("\n") <= 1 and "Traceback" not in result.stderr
     if code == 2:

@@ -33,7 +33,7 @@ from rankops import (
     sequential,
     standard,
 )
-from rankops.operators import _by_tier
+from rankops.operators import _by_tier, _whole
 
 
 # ----- the four principal operators ------------------------------------------
@@ -399,6 +399,27 @@ def test_by_tier_wraps_an_int_rule_value_as_a_fraction(four_tier_ten):
     for tier in four_tier_ten.tiers:
         assert all(type(positions[alt]) is F for alt in tier)
     assert positions == modified(four_tier_ten)
+
+
+def test_whole_number_positions_are_shared_exact_fractions():
+    ties, linear = from_tiers([{"a"}, {"b", "c"}]), from_tiers([{"x1"}, {"x2"}, {"x3"}])
+    handed_out = [dense(ties), dense(linear), dense_via_chain(linear), list_index(linear), standard(ties)]
+    for positions in handed_out:
+        assert all(type(value) is F for value in positions.values())
+    # Equal whole numbers are one object, whichever order or operator gave them.
+    assert all(positions["x2"] is dense(ties)["b"] for positions in handed_out[1:4])
+    assert standard(ties)["b"] is dense(linear)["x2"] is not dense(linear)["x3"]
+
+
+def test_whole_number_positions_past_the_cache_bound_stay_exact():
+    bound = _whole.cache_info().maxsize
+    linear = from_tiers([{alt} for alt in range(2 * bound)])
+    for positions in (dense(linear), dense_via_chain(linear)):
+        assert all(type(positions[alt]) is F and positions[alt] == alt + 1 for alt in linear.ground)
+    assert _whole.cache_info().currsize <= bound
+    huge = 10**40 + 1
+    value = _by_tier(linear, lambda sizes: [huge] * len(sizes))[0]
+    assert (type(value), value) == (F, huge)
 
 
 def test_tier_mates_share_one_position_object_exhaustive():

@@ -297,6 +297,15 @@ def test_maximal_chain_properties_exhaustive():
             assert order.prefers(first, second)
 
 
+def test_maximal_chain_takes_each_tiers_least_label_in_label_key_order():
+    for order in support.orders_up_to(5):
+        assert order.maximal_chain() == tuple(min(tier, key=label_key) for tier in order.tiers)
+    # A tier of one label type is ordered as < orders it; a tier that mixes
+    # int and str labels puts the ints first, as label_key does.
+    assert from_tiers([{10, 2}, {"b", "a"}]).maximal_chain() == (2, "a")
+    assert from_tiers([{10, "a", 2}, {"b", 1}]).maximal_chain() == (2, 1)
+
+
 # ----- enumeration --------------------------------------------------------------
 
 
