@@ -5,13 +5,33 @@ indifferent alternatives), implements the dense, standard, modified and
 fractional ranks over them with exact rational positions, and ships an
 exhaustive checking engine for the invariance properties that tell these
 operators apart.
+
+The engine, ``rankops.axioms``, loads on first use: the first of its names
+asked for, or ``__all__``, imports it.  ``import rankops`` and the ``rank``
+command do not load it.
 """
 
-from . import axioms, operators, orders
+import importlib
+
+from . import operators, orders
 from .orders import *
 from .operators import *
-from .axioms import *
 
 __version__ = "0.1.0"
 
-__all__ = [*orders.__all__, *operators.__all__, *axioms.__all__, "__version__"]
+
+def __getattr__(name: str) -> object:
+    """The engine module and its names, and ``__all__``, which lists them."""
+    # No other name with a leading underscore is the engine's, so a tool that
+    # probes for one (``__wrapped__``, say) does not load it.
+    if name == "__all__" or not name.startswith("_"):
+        # Not ``from . import axioms``: its import asks this hook for the name
+        # ``axioms`` again, before the submodule is bound.
+        axioms = importlib.import_module(".axioms", __name__)
+        if name == "__all__":
+            return [*orders.__all__, *operators.__all__, *axioms.__all__, "__version__"]
+        if name == "axioms":
+            return axioms
+        if name in axioms.__all__:
+            return getattr(axioms, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

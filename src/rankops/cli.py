@@ -30,9 +30,8 @@ from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_CEILING, Context, Decima
 from fractions import Fraction
 from itertools import chain, repeat
 from operator import itemgetter
-from typing import Collection, NoReturn, Sequence, TextIO, Union
+from typing import NoReturn, Sequence, TextIO, Union
 
-from .axioms import build_verification_document, engine_ground
 from .operators import (
     Domain,
     NegativeCoefficient,
@@ -214,7 +213,7 @@ def _json_object(pairs: list[tuple[str, object]]) -> dict[str, object]:
     return payload
 
 
-def _parse_tiers_json(text: str) -> tuple[frozenset[AltId], ...]:
+def _parse_tiers_json(text: str) -> list[list[AltId]]:
     """The tiers of a JSON order, best first, once they are known to be one."""
     try:
         payload = json.loads(text, parse_int=_json_int, object_pairs_hook=_json_object)
@@ -234,12 +233,13 @@ def _parse_tiers_json(text: str) -> tuple[frozenset[AltId], ...]:
         first = ids.setdefault(str(alt), alt)
         if first != alt:
             raise ParseError(f"labels {first!r} and {alt!r} both print as id {str(alt)!r}")
-    return order.tiers
+    return list(map(list, order.tiers))
 
 
-def _format_rows(tiers: Sequence[Collection[AltId]], method: str, output_format: str) -> str:
+def _format_rows(tiers: Sequence[list[AltId]], method: str, output_format: str) -> str:
     """The ids of ``tiers``, best tier first, with their positions under
-    ``method``, as CSV or JSON text."""
+    ``method``, as CSV or JSON text.  The tier lists become the rows' own
+    lists, so they are extended and sorted in place."""
     try:
         operator = get_operator(method)
     except (UnknownOperator, NegativeCoefficient) as exc:
@@ -260,9 +260,12 @@ def _format_rows(tiers: Sequence[Collection[AltId]], method: str, output_format:
             buckets.setdefault(position, []).append(alt)
     else:
         # One value per tier, read off the sizes alone.  An int value hashes,
-        # compares and prints as the equal Fraction does.
+        # compares and prints as the equal Fraction does.  A tier is its
+        # position's bucket, unless a tier before it holds that position.
         for position, tier in zip(rule(sizes), tiers):
-            buckets.setdefault(position, []).extend(tier)
+            bucket = buckets.setdefault(position, tier)
+            if bucket is not tier:
+                bucket.extend(tier)
     # Only the distinct positions are sorted.  A bucket of ids sorts as its
     # labels do, by label_key only where Python cannot compare them: a
     # json-tiers bucket that mixes int and str ids.
@@ -392,7 +395,17 @@ def _say(line: str) -> None:
     try:
         print(line, file=sys.stderr)
     except OSError:
-        pass
+        # What a buffered stderr still holds can never be written.
+        with contextlib.suppress(OSError):  # a stream with no file
+            _drop(sys.stderr)
+
+
+def build_verification_document(max_n: int) -> tuple[dict, bool]:
+    """The engine's report and verdict at ``max_n``; the engine loads here,
+    on first use, so that ``rank`` never imports it."""
+    from .axioms import build_verification_document
+
+    return build_verification_document(max_n)
 
 
 def _cmd_verify(args: argparse.Namespace, stdout: TextIO | None) -> int:
@@ -421,6 +434,8 @@ def _cmd_enumerate(args: argparse.Namespace, stdout: TextIO | None) -> int:
     if args.count_only:
         stdout.write(f"{ordered_bell(args.n)}\n")
         return 0
+    from .axioms import engine_ground
+
     for order in enumerate_weak_orders(engine_ground(args.n)):
         stdout.write(json.dumps(weak_order_to_json(order), separators=(",", ":")) + "\n")
     return 0
@@ -478,11 +493,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _drop_stdout() -> None:
-    """Point stdout at the null device, so that the interpreter's own flush
-    at exit cannot fail again."""
+def _drop(stream: TextIO) -> None:
+    """Point ``stream``'s file at the null device, so that the interpreter's
+    own flush at exit cannot fail again."""
     devnull = os.open(os.devnull, os.O_WRONLY)
-    os.dup2(devnull, sys.stdout.fileno())
+    os.dup2(devnull, stream.fileno())
     os.close(devnull)
 
 
@@ -511,7 +526,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return code
     except BrokenPipeError:
         # Nobody reads the rest.
-        _drop_stdout()
+        _drop(sys.stdout)
         return EXIT_PIPE_CLOSED
     except (InputError, OSError) as exc:
         if isinstance(exc, OSError) and sys.stdout is not None:
@@ -520,7 +535,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             try:
                 sys.stdout.flush()
             except OSError:
-                _drop_stdout()
+                _drop(sys.stdout)
         # One short line, even where the message quotes an argument or an
         # input as it was given.
         message = " ".join(str(exc).splitlines())

@@ -373,7 +373,6 @@ def parse_exact(value: Rational, name: str = "value") -> int | Fraction | Decima
     """
     try:
         body = value.strip()
-        decimal = "/" not in body and _DECIMAL.fullmatch(body)
     except (AttributeError, TypeError):  # not text
         return _exact_value(value, name)
     if len(body) > 640:
@@ -382,23 +381,30 @@ def parse_exact(value: Rational, name: str = "value") -> int | Fraction | Decima
         limit = sys.get_int_max_str_digits()
         if limit and any(len(run) - run.count("_") > limit for run in _DIGIT_RUN.findall(body)):
             raise ValueError(f"{name} has more digits than Python prints ({limit}): {value!r}")
-    if decimal:
+    if "/" in body:
         try:
-            number = Decimal(body)
-            in_range = abs(number.adjusted()) <= _EXPONENT_LIMIT
-        except InvalidOperation:  # an exponent beyond even Decimal's range
-            in_range = False
-        if not in_range:
-            raise ValueError(f"{name} has an exponent out of range: {value!r}")
-        return number
-    try:
-        if "/" in body:
             return Fraction(body)
-    except ZeroDivisionError:
-        raise ValueError(f"{name} has a zero denominator: {value!r}") from None
-    except ValueError:  # not p/q in any spelling that Fraction reads
-        pass
-    raise ValueError(f"{name} is not an exact number: {value!r}")
+        except ZeroDivisionError:
+            raise ValueError(f"{name} has a zero denominator: {value!r}") from None
+        except ValueError:  # not p/q in any spelling that Fraction reads
+            raise ValueError(f"{name} is not an exact number: {value!r}") from None
+    # On ASCII text without underscores, Decimal reads just the spellings that
+    # _DECIMAL matches, and nan and inf besides; the regex decides the rest.
+    plain = body.isascii() and "_" not in body
+    try:
+        number = Decimal(body) if plain or _DECIMAL.fullmatch(body) else None
+    except InvalidOperation:
+        # A spelling that Decimal refuses, or one whose exponent lies beyond
+        # even Decimal's range: only the second is a spelling of _DECIMAL.
+        if plain and not _DECIMAL.fullmatch(body):
+            number = None
+        else:
+            raise ValueError(f"{name} has an exponent out of range: {value!r}") from None
+    if number is None or not number.is_finite():
+        raise ValueError(f"{name} is not an exact number: {value!r}")
+    if abs(number.adjusted()) > _EXPONENT_LIMIT:
+        raise ValueError(f"{name} has an exponent out of range: {value!r}")
+    return number
 
 
 def _exact_value(value: object, name: str) -> int | Fraction | Decimal:

@@ -23,9 +23,12 @@ CLI = (*PYTHON, "-m", "rankops")
 
 
 def env(**changes: str | None) -> dict[str, str]:
-    """``os.environ`` with the package's ``src`` first on ``PYTHONPATH`` and
-    ``changes`` applied; a change to None removes that variable."""
+    """``os.environ`` with the package's ``src`` first on ``PYTHONPATH``,
+    without ``PYTHONUNBUFFERED`` and with ``changes`` applied; a change to
+    None removes that variable.  A child's stdout is buffered, as a user's
+    is by default, so a fault that shows only then is not hidden."""
     result = dict(os.environ)
+    result.pop("PYTHONUNBUFFERED", None)
     result["PYTHONPATH"] = os.pathsep.join(filter(None, (str(REPO / "src"), result.get("PYTHONPATH"))))
     for key, value in changes.items():
         if value is None:

@@ -489,12 +489,9 @@ def test_subprocess_failed_or_missing_stream_is_one_line(tmp_path, args, redirec
     # The shell applies the redirection, then runs the CLI in its place.  A
     # buffered stdout still holds the output after a failed write; unless
     # main drops it, the interpreter's own flush at exit fails again, with a
-    # second message and exit 120.  So the child's stdout is left buffered.
-    result = support.run(
-        ["sh", "-c", f'exec "$@" {redirect}', "sh", *support.CLI, *args],
-        env=support.env(PYTHONUNBUFFERED=None),
-        cwd=tmp_path,
-    )
+    # second message and exit 120.  support.env leaves every child's stdout
+    # buffered.
+    result = support.run(["sh", "-c", f'exec "$@" {redirect}', "sh", *support.CLI, *args], cwd=tmp_path)
     assert result.returncode == code, result.stderr
     assert result.stderr.count("\n") <= 1 and "Traceback" not in result.stderr
     if code == 2:
@@ -509,8 +506,9 @@ def test_subprocess_failed_or_missing_stream_is_one_line(tmp_path, args, redirec
         (["rank", "--method", "nope", "scores.csv"], "2>&-", 2),
         pytest.param(["rank", "--method", "nope", "scores.csv"], "2>/dev/full", 2, marks=NO_DEV_FULL),
         (["verify", "--max-n", "3", "--report", "r.json"], "2>&-", 0),
+        pytest.param(["verify", "--max-n", "3", "--report", "r.json"], "2>/dev/full", 0, marks=NO_DEV_FULL),
     ],
-    ids=["rank-error-no-stderr", "rank-error-full-stderr", "verify-no-stderr"],
+    ids=["rank-error-no-stderr", "rank-error-full-stderr", "verify-no-stderr", "verify-full-stderr"],
 )
 def test_subprocess_failed_or_missing_stderr_keeps_the_exit_code(tmp_path, args, redirect, code):
     (tmp_path / "scores.csv").write_text(SCORES, encoding="utf-8")

@@ -7,12 +7,15 @@ import csv
 import dataclasses
 import importlib.util
 import io
+import itertools
 import json
 import re
 import subprocess
 import sys
 import time
+import unicodedata
 from collections import Counter
+from collections.abc import Iterator
 from decimal import Decimal
 from fractions import Fraction
 from unittest import mock
@@ -345,6 +348,81 @@ def test_parse_exact_accepts_what_fraction_accepts(text):
             parse_exact(text)
     else:
         assert parse_exact(text) == expected
+
+
+def _oracle_texts() -> Iterator[str]:
+    """Every ASCII text of at most four characters over the characters of a
+    number, nan and inf, and each Unicode digit and space alone, after 1,
+    after 1. and after 1e."""
+    alphabet = "0123456789.eE+-_/naif "
+    for length in range(5):
+        for chars in itertools.product(alphabet, repeat=length):
+            yield "".join(chars)
+    for code in range(sys.maxunicode + 1):
+        char = chr(code)
+        if unicodedata.category(char) == "Nd" or char.isspace():
+            yield from (char, "1" + char, "1." + char, "1e" + char)
+
+
+def test_parse_exact_reads_text_as_fraction_does():
+    """The oracle is ``Fraction(text)`` itself.  Where it accepts, the value
+    is equal, kept as a Decimal unless written p/q; where it refuses, the
+    refusal is the one that matches its reason."""
+    checked = 0
+    for text in _oracle_texts():
+        checked += 1
+        try:
+            expected = Fraction(text)
+        except ZeroDivisionError:
+            reason = "has a zero denominator"
+        except ValueError:
+            reason = "is not an exact number"
+        else:
+            value = parse_exact(text)
+            assert value == expected, text
+            assert type(value) is (Fraction if "/" in text else Decimal), text
+            continue
+        with pytest.raises(ValueError) as refused:
+            parse_exact(text)
+        assert str(refused.value) == f"value {reason}: {text!r}"
+    assert checked > 22**4
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1e", "score is not an exact number: '1e'"),
+        (" +.e1", "score is not an exact number: ' +.e1'"),
+        ("nan", "score is not an exact number: 'nan'"),
+        ("-Infinity", "score is not an exact number: '-Infinity'"),
+        ("1 2", "score is not an exact number: '1 2'"),
+        ("\u0665e", "score is not an exact number: '\u0665e'"),
+        ("1/0", "score has a zero denominator: '1/0'"),
+        (" -3/0_0 ", "score has a zero denominator: ' -3/0_0 '"),
+        ("1e1000000000000001", "score has an exponent out of range: '1e1000000000000001'"),
+        ("-.5E-1_000_000_000_000_000", "score has an exponent out of range: '-.5E-1_000_000_000_000_000'"),
+        ("1e" + "9" * 30, "score has an exponent out of range: '1e" + "9" * 30 + "'"),
+        ("\u0665e" + "9" * 30, "score has an exponent out of range: '\u0665e" + "9" * 30 + "'"),
+        ("1" * 4301, "score has more digits than Python prints (4300): '" + "1" * 4301 + "'"),
+        ("2/" + "3" * 4301, "score has more digits than Python prints (4300): '2/" + "3" * 4301 + "'"),
+        ("1_" * 4300 + "1", "score has more digits than Python prints (4300): '" + "1_" * 4300 + "1'"),
+    ],
+    ids=[
+        "bare-exponent", "point-without-digits", "nan", "infinity", "inner-space", "arabic-indic-bare-exponent",
+        "zero-denominator", "zero-denominator-underscore", "exponent-past-bound", "negative-exponent-past-bound",
+        "exponent-past-decimal", "arabic-indic-exponent-past-decimal", "4301-digits", "4301-digit-denominator",
+        "4301-digits-underscored",
+    ],
+)
+def test_parse_exact_refusals_are_pinned(text, message):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(ValueError) as refused:
+            parse_exact(text, "score")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert str(refused.value) == message
 
 
 def test_decimal_and_fraction_scores_share_a_tier():
