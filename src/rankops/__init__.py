@@ -8,7 +8,7 @@ operators apart.
 
 The engine, ``rankops.axioms``, loads on first use: the first of its names
 asked for, or ``__all__``, imports it.  ``import rankops`` and the ``rank``
-command do not load it.
+and ``enumerate`` commands do not load it.
 """
 
 import importlib

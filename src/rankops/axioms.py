@@ -84,6 +84,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 from .orders import (
     AltId,
     WeakOrder,
+    engine_ground,
     enumerate_weak_orders,
     label_key,
     weak_order_to_json,
@@ -99,7 +100,6 @@ __all__ = [
     "EXPECTED_MATRIX",
     "Implication",
     "IMPLICATIONS",
-    "engine_ground",
     "check",
     "run_axiom_reports",
     "replay_witness",
@@ -128,7 +128,12 @@ class Verdict(Enum):
 
 @dataclass(frozen=True)
 class Witness:
-    """A replayable counterexample: the order(s) and positions involved."""
+    """A replayable counterexample: the order(s) and positions involved.
+
+    An axiom's definition yields one for a case that fails.  ``transformed``
+    is the order compared against, or None when the case needs only ``base``.
+    ``detail`` is prose read off the other fields, so equality ignores it.
+    """
 
     base: WeakOrder
     transformed: WeakOrder | None
@@ -136,7 +141,7 @@ class Witness:
     other: AltId | None
     before: Fraction
     after: Fraction
-    detail: str
+    detail: str = field(compare=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -162,11 +167,6 @@ class AxiomReport:
     verdict: Verdict
     cases_checked: int
     witness: Witness | None
-
-
-def engine_ground(n: int) -> tuple[str, ...]:
-    """The canonical ground set the engine quantifies over: x1..xn."""
-    return tuple(f"x{i}" for i in range(1, n + 1))
 
 
 # ----- the universe and the position tables ---------------------------------
@@ -291,33 +291,30 @@ def _fresh_clone(ground: frozenset[AltId]) -> str:
 # witness; sequentiality compares pairs with the order's own tier numbers
 # 1..n, never with another operator, and monotonicity cross-multiplies,
 # which is exact because denominators are positive.  A case yields None when
-# it holds, otherwise its first violating comparison as (transformed,
-# subject, other, before, after, detail), where ``transformed`` is the order
-# compared against, or None when the case needs only the base order, and
-# ``before`` and ``after`` are ``Fraction``s.  The checks, their case counts
-# and ``replay_witness`` are all views of these generators.
+# it holds, otherwise the ``Witness`` of its first violating comparison.  The
+# checks, their case counts and ``replay_witness`` are all views of these
+# generators.
 
-Violation = tuple[WeakOrder | None, AltId, AltId | None, Fraction, Fraction, str]
-Definition = Callable[[_Positions, WeakOrder, Code], Iterator[Violation | None]]
+Definition = Callable[[_Positions, WeakOrder, Code], Iterator[Witness | None]]
 
 
 def _equality_cases(
     positions: _Positions, order: WeakOrder, code: Code
-) -> Iterator[Violation | None]:
+) -> Iterator[Witness | None]:
     base = positions.at(code, lambda: order)
     alternatives = positions.alternatives[order.n]
     for tier in order.tiers:
         for a, b in itertools.combinations([alt for alt in alternatives if alt in tier], 2):
             if base[a] != base[b]:
                 detail = f"tied alternatives {a} and {b} in [{order}] got distinct positions"
-                yield None, a, b, Fraction(*base[a]), Fraction(*base[b]), detail
+                yield Witness(order, None, a, b, Fraction(*base[a]), Fraction(*base[b]), detail)
             else:
                 yield None
 
 
 def _neutrality_cases(
     positions: _Positions, order: WeakOrder, code: Code
-) -> Iterator[Violation | None]:
+) -> Iterator[Witness | None]:
     """One case per order: each alternative's position equals that of the
     first member of its tier in the canonical order of the order's shape.
 
@@ -356,14 +353,15 @@ def _neutrality_cases(
                 f"{alt} in [{order}] and {first}, first of the same tier in"
                 f" [{canonical_order}], got distinct positions"
             )
-            yield canonical_order, alt, first, Fraction(*base[alt]), Fraction(*target[first]), detail
+            before, after = Fraction(*base[alt]), Fraction(*target[first])
+            yield Witness(order, canonical_order, alt, first, before, after, detail)
             return
     yield None
 
 
 def _sequentiality_cases(
     positions: _Positions, order: WeakOrder, code: Code
-) -> Iterator[Violation | None]:
+) -> Iterator[Witness | None]:
     if not order.is_linear:
         return
     base = positions.at(code, lambda: order)
@@ -373,31 +371,32 @@ def _sequentiality_cases(
         expected = code[slot[alt]] + 1
         if base[alt] != (expected, 1):
             detail = f"linear order [{order}] should place {alt} at {expected}"
-            yield None, alt, None, Fraction(expected), Fraction(*base[alt]), detail
+            yield Witness(order, None, alt, None, Fraction(expected), Fraction(*base[alt]), detail)
             return
     yield None
 
 
 def _truncation_cases(
     positions: _Positions, order: WeakOrder, code: Code
-) -> Iterator[Violation | None]:
+) -> Iterator[Witness | None]:
     if order.num_tiers < 2:
         return
     base = positions.at(code, lambda: order)
     bottom = order.num_tiers - 1
-    after = positions.at(tuple(-1 if t == bottom else t for t in code), order.truncate_bottom)
+    kept = positions.at(tuple(-1 if t == bottom else t for t in code), order.truncate_bottom)
     dropped = order.tiers[bottom]
     for alt in (alt for alt in positions.alternatives[order.n] if alt not in dropped):
-        if after[alt] != base[alt]:
+        if kept[alt] != base[alt]:
             detail = f"dropping the bottom tier of [{order}] moved {alt}"
-            yield order.truncate_bottom(), alt, None, Fraction(*base[alt]), Fraction(*after[alt]), detail
+            before, after = Fraction(*base[alt]), Fraction(*kept[alt])
+            yield Witness(order, order.truncate_bottom(), alt, None, before, after, detail)
             return
     yield None
 
 
 def _duplication_cases(
     positions: _Positions, order: WeakOrder, code: Code
-) -> Iterator[Violation | None]:
+) -> Iterator[Witness | None]:
     base = positions.at(code, lambda: order)
     clone = positions.clone
     alternatives = positions.alternatives[order.n]
@@ -407,19 +406,21 @@ def _duplication_cases(
         for alt in alternatives:
             if moved[alt] != base[alt]:
                 detail = f"cloning {pattern} in [{order}] moved {alt}"
-                yield extended, alt, None, Fraction(*base[alt]), Fraction(*moved[alt]), detail
+                before, after = Fraction(*base[alt]), Fraction(*moved[alt])
+                yield Witness(order, extended, alt, None, before, after, detail)
                 break
         else:
             if moved[clone] != moved[pattern]:
                 detail = f"clone of {pattern} in [{order}] missed its pattern's position"
-                yield extended, clone, pattern, Fraction(*moved[pattern]), Fraction(*moved[clone]), detail
+                before, after = Fraction(*moved[pattern]), Fraction(*moved[clone])
+                yield Witness(order, extended, clone, pattern, before, after, detail)
             else:
                 yield None
 
 
 def _ud_independency_cases(
     positions: _Positions, order: WeakOrder, code: Code
-) -> Iterator[Violation | None]:
+) -> Iterator[Witness | None]:
     base = positions.at(code, lambda: order)
     alternatives = positions.alternatives[order.n]
     for mover in alternatives:
@@ -438,7 +439,9 @@ def _ud_independency_cases(
                         f"moving {mover} from tier {source} to tier {target}"
                         f" in [{order}] changed {alt}"
                     )
-                    yield order.ud_move(mover, target), alt, mover, Fraction(*base[alt]), Fraction(*moved[alt]), detail
+                    before, after = Fraction(*base[alt]), Fraction(*moved[alt])
+                    moved_order = order.ud_move(mover, target)
+                    yield Witness(order, moved_order, alt, mover, before, after, detail)
                     break
             else:
                 yield None
@@ -446,7 +449,7 @@ def _ud_independency_cases(
 
 def _monotonicity_cases(
     positions: _Positions, order: WeakOrder, code: Code
-) -> Iterator[Violation | None]:
+) -> Iterator[Witness | None]:
     base = positions.at(code, lambda: order)
     slot = positions.slot
     alternatives = positions.alternatives[order.n]
@@ -464,7 +467,7 @@ def _monotonicity_cases(
                     f"in [{order}]: {a} R {b} is {weakly} but "
                     f"position({a}) <= position({b}) is {le}"
                 )
-                yield None, a, b, Fraction(*base[a]), Fraction(*base[b]), detail
+                yield Witness(order, None, a, b, Fraction(*base[a]), Fraction(*base[b]), detail)
             else:
                 yield None
 
@@ -522,10 +525,9 @@ def _check(op: PositionOperator, axiom: Axiom, universe: _Universe) -> AxiomRepo
             cases += by_shape[shape]
             continue
         first = cases
-        for violation in cases_of(positions, order, code):
+        for witness in cases_of(positions, order, code):
             cases += 1
-            if violation is not None:
-                witness = Witness(order, *violation)
+            if witness is not None:
                 return AxiomReport(op.name, axiom, max_n, Verdict.FAIL, cases, witness)
         if by_shape is not None:
             by_shape[shape] = cases - first
@@ -575,18 +577,15 @@ def replay_witness(op: PositionOperator, axiom: Axiom, witness: Witness) -> bool
     Re-runs the axiom's definition on the witness's base order through a
     position table of its own, building each derived order through the
     public transforms and evaluating it with ``op``.  Returns True when
-    some case yields exactly the witness's transformed order, subject,
-    other, before and after, i.e. the report was sound.
+    some case yields a witness equal to this one, i.e. the report was sound.
+    Witnesses compare without their ``detail``, so only the transformed
+    order, subject, other, before and after have to match.
     """
     base = witness.base
     alternatives = tuple(base.sorted_alternatives())
     slot = {alt: index for index, alt in enumerate(alternatives)}
     positions = _Positions(op, slot, _fresh_clone(base.ground), {base.n: alternatives})
-    claim = (witness.transformed, witness.subject, witness.other, witness.before, witness.after)
-    return any(
-        violation is not None and violation[:5] == claim
-        for violation in _DEFINITIONS[axiom](positions, base, _code(base.tiers, slot))
-    )
+    return witness in _DEFINITIONS[axiom](positions, base, _code(base.tiers, slot))
 
 
 # ----- expected verdicts ----------------------------------------------------

@@ -44,6 +44,7 @@ from .operators import (
 from .orders import (
     AltId,
     OrderError,
+    engine_ground,
     enumerate_weak_orders,
     from_tiers,
     label_key,
@@ -434,8 +435,6 @@ def _cmd_enumerate(args: argparse.Namespace, stdout: TextIO | None) -> int:
     if args.count_only:
         stdout.write(f"{ordered_bell(args.n)}\n")
         return 0
-    from .axioms import engine_ground
-
     for order in enumerate_weak_orders(engine_ground(args.n)):
         stdout.write(json.dumps(weak_order_to_json(order), separators=(",", ":")) + "\n")
     return 0

@@ -371,10 +371,9 @@ def parse_exact(value: Rational, name: str = "value") -> int | Fraction | Decima
     decimal whose leading digit lies beyond 10**15 places from the point),
     followed by the value when Python can print it.
     """
-    try:
-        body = value.strip()
-    except (AttributeError, TypeError):  # not text
+    if not isinstance(value, str):
         return _exact_value(value, name)
+    body = value.strip()
     if len(body) > 640:
         # int() refuses a run longer than Python's limit on integer strings,
         # which is never below 640; 0 means no limit.
@@ -388,9 +387,10 @@ def parse_exact(value: Rational, name: str = "value") -> int | Fraction | Decima
             raise ValueError(f"{name} has a zero denominator: {value!r}") from None
         except ValueError:  # not p/q in any spelling that Fraction reads
             raise ValueError(f"{name} is not an exact number: {value!r}") from None
-    # On ASCII text without underscores, Decimal reads just the spellings that
-    # _DECIMAL matches, and nan and inf besides; the regex decides the rest.
-    plain = body.isascii() and "_" not in body
+    # On text without underscores, Decimal reads just the spellings that
+    # _DECIMAL matches, and nan and inf besides: it reads every Unicode decimal
+    # digit and space as \d and \s do.  The regex decides the rest.
+    plain = "_" not in body
     try:
         number = Decimal(body) if plain or _DECIMAL.fullmatch(body) else None
     except InvalidOperation:

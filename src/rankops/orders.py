@@ -10,8 +10,9 @@ properties instead of conditions that have to be re-checked.
 
 The module also provides the structural transforms the rest of the library
 quantifies over (restriction, relabelling, bottom-tier truncation, cloning,
-vertical moves between existing tiers) and exhaustive enumerators for all
-weak or linear orders on a ground set.
+vertical moves between existing tiers), exhaustive enumerators for all
+weak or linear orders on a ground set, and ``engine_ground``, the labels
+x1..xn that the verification engine and ``enumerate`` quantify over.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ __all__ = [
     "from_pairs",
     "enumerate_weak_orders",
     "enumerate_linear_orders",
+    "engine_ground",
     "ordered_bell",
     "weak_order_to_json",
     "weak_order_from_json",
@@ -146,7 +148,8 @@ class WeakOrder:
 
     ``tiers`` lists the indifference classes from best to worst.  All
     other views of the relation (strict preference, indifference, dominated
-    counts) are derived from tier membership.
+    counts) are derived from tier membership.  A label is a ``str`` or an
+    ``int`` (not a ``bool``); any other raises ``OrderError``.
     """
 
     tiers: tuple[frozenset[AltId], ...]
@@ -163,6 +166,8 @@ class WeakOrder:
             if not tier:
                 raise EmptyTier(f"tier {position} is empty")
             for alt in tier:
+                if not isinstance(alt, (str, int)) or isinstance(alt, bool):
+                    raise OrderError(f"labels must be strings or integers, got {alt!r}")
                 if alt in index:
                     raise DuplicateAlternative(
                         f"alternative {alt!r} appears in tiers {index[alt]} and {position}"
@@ -416,6 +421,11 @@ def enumerate_linear_orders(ground: Iterable[AltId]) -> Iterator[WeakOrder]:
         raise EmptyGround("ground set is empty")
     for perm in itertools.permutations(items):
         yield WeakOrder(tuple(frozenset((alt,)) for alt in perm))
+
+
+def engine_ground(n: int) -> tuple[str, ...]:
+    """The canonical ground set the engine quantifies over: x1..xn."""
+    return tuple(f"x{i}" for i in range(1, n + 1))
 
 
 def ordered_bell(n: int) -> int:

@@ -135,10 +135,10 @@ def _scan(cases_of, positions, orders):
     of ``orders``."""
     cases = 0
     for order, code, _ in orders:
-        for violation in cases_of(positions, order, code):
+        for witness in cases_of(positions, order, code):
             cases += 1
-            if violation is not None:
-                return cases, Witness(order, *violation)
+            if witness is not None:
+                return cases, witness
     return cases, None
 
 

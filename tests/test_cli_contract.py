@@ -7,6 +7,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import re
 import sys
 import tempfile
 import time
@@ -78,9 +79,9 @@ def test_to_fraction_bounds_digits_by_the_interpreters_limit():
         sys.set_int_max_str_digits(limit)
 
 
-@pytest.mark.parametrize("value", [0.1, True, None, b"1"], ids=repr)
+@pytest.mark.parametrize("value", [0.1, True, None, b"1", bytearray(b"1")], ids=repr)
 def test_to_fraction_refuses_inexact_types(value):
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match="^" + re.escape(f"value is not an exact number: {value!r}") + "$"):
         to_fraction(value)
 
 

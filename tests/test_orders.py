@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import pytest
 import support
@@ -16,10 +17,13 @@ from rankops import (
     NotASubset,
     NotComplete,
     NotTransitive,
+    OrderError,
     SingleTier,
     SourceTierWouldVanish,
     TargetTierAbsent,
     UnknownAlternative,
+    WeakOrder,
+    engine_ground,
     enumerate_linear_orders,
     enumerate_weak_orders,
     from_pairs,
@@ -29,7 +33,6 @@ from rankops import (
     weak_order_from_json,
     weak_order_to_json,
 )
-from rankops.axioms import engine_ground
 
 # Independent count oracle: the number of ordered set partitions of n items
 # satisfies a(0) = 1, a(n) = sum over top-block sizes k of C(n, k) * a(n - k).
@@ -73,6 +76,17 @@ def test_from_tiers_rejects_empty_tier():
 def test_from_tiers_rejects_no_tiers():
     with pytest.raises(EmptyOrder):
         from_tiers([])
+
+
+@pytest.mark.parametrize("label", [2.5, (1, 2), None, True], ids=repr)
+def test_labels_other_than_strings_and_integers_are_refused(label):
+    message = "^" + re.escape(f"labels must be strings or integers, got {label!r}") + "$"
+    with pytest.raises(OrderError, match=message):
+        from_tiers([{"a"}, {label}])
+    with pytest.raises(OrderError, match=message):
+        WeakOrder((frozenset({label}),))
+    with pytest.raises(OrderError, match=message):
+        from_tiers([{"a"}, {"b"}]).relabel({"a": label, "b": "c"})
 
 
 def test_from_pairs_recovers_tiers():
@@ -191,6 +205,8 @@ def test_relabel_identity_and_swap(two_tied_top):
     assert two_tied_top.relabel(identity) == two_tied_top
     swap = {"x": "z", "z": "x", "y": "y"}
     assert two_tied_top.relabel(swap) == from_tiers([{"z", "y"}, {"x"}])
+    # Labels may mix int and str.
+    assert two_tied_top.relabel({"x": 1, "y": "y", "z": 2}) == from_tiers([{1, "y"}, {2}])
 
 
 def test_relabel_preserves_tier_sizes():

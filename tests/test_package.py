@@ -80,8 +80,9 @@ def _loads_engine(args: list[str], stdin: str = "") -> bool:
         (["rank", "--method", "dense"], "a,1\nb,2\nc,2\n"),
         (["rank", "--method", "fractional", "--input-format", "json-tiers"], '{"tiers": [["a"], ["b", "c"]]}'),
         (["enumerate", "3", "--count-only"], ""),
+        (["enumerate", "3"], ""),
     ],
-    ids=["rank-csv", "rank-json-tiers", "enumerate-count"],
+    ids=["rank-csv", "rank-json-tiers", "enumerate-count", "enumerate-list"],
 )
 def test_commands_that_need_no_engine_do_not_load_it(args, stdin):
     assert not _loads_engine(args, stdin)
