@@ -41,17 +41,27 @@ Nine registered operators (``dense``, ``standard``, ``modified``,
 ``fractional``, ``sequential``, ``quotient``, ``plus-n``,
 ``dense-over-tiercount`` and every affine operator) are marked as tier
 rules: each gives a tier's members one value read from the order's tier
-sizes alone.  For these, every cell but neutrality runs its definition on
-the first order of each tier-size shape only, and counts that order's
-cases once more for each later order of the shape.  This is sound because
-a permutation of x1..xn that fixes the clone label carries every case of
-an order, with its derived orders, onto a case of the permuted order with
-the same outcome, so same-shape orders hold or fail alike and have
-equally many cases; and the scan meets each shape's first order first, so
-it reports the first violation a full scan would.  Neutrality is the claim
-that labels do not matter, so it scans every order, and so does every
-unmarked operator: ``list-index``, ``dense-chain`` and any operator built
-with the public constructor.
+sizes alone.  For these, every cell runs its definition on the first
+order of each tier-size shape only, and counts that order's cases once
+more for each later order of the shape.  This is sound because a
+permutation of x1..xn that fixes the clone label carries every case of an
+order, with its derived orders, onto a case of the permuted order with the
+same outcome, so same-shape orders hold or fail alike and have equally
+many cases; and the scan meets each shape's first order first, so it
+reports the first violation a full scan would.  Every unmarked operator
+(``list-index``, ``dense-chain`` and any operator built with the public
+constructor) is scanned order by order.
+
+Neutrality is the claim that labels do not matter, so for it the mark
+alone is not enough.  It is a theorem for an operator whose ``fn`` is the
+function the tier-rule constructor built from its rule: that function
+gives every member of a tier the value the rule reads off the tier sizes,
+so an alternative's position depends on its order's shape and its tier
+alone, which is what the neutrality case compares.  The first order of
+each shape is the shape's canonical order, compared with itself, and
+holds with one case; every later order adds one.  A marked operator with
+any other ``fn``, such as a rule that reads labels under a forged mark, is
+scanned order by order in neutrality, and so caught.
 
 Positions are compared as exact pairs: a ``Fraction`` is kept in lowest
 terms with a positive denominator, so its (numerator, denominator) pair
@@ -495,16 +505,22 @@ def _check(op: PositionOperator, axiom: Axiom, universe: _Universe) -> AxiomRepo
     at the first violating case.  Handed only an order and its code, the
     definition evaluates no order it does not speak of.
 
-    For an operator marked as a tier rule, and any axiom but neutrality,
-    the definition runs on the first order of each tier-size shape alone;
-    every later order of that shape adds the first one's case count.  Such
-    an operator gives a permuted order the permuted positions, and every
-    derived order, the clone's included, is permuted along with its
-    base, so an order's cases hold or fail exactly as its shape's first
-    order's do, and are as many.  That first order comes first in the
-    scan, so the first violation, its count and its witness are the ones a
-    full scan finds.  Neutrality is that label-independence itself, so it
-    scans every order, as does every unmarked operator.
+    For an operator marked as a tier rule, the definition runs on the first
+    order of each tier-size shape alone; every later order of that shape
+    adds the first one's case count.  Such an operator gives a permuted
+    order the permuted positions, and every derived order, the clone's
+    included, is permuted along with its base, so an order's cases hold or
+    fail exactly as its shape's first order's do, and are as many.  That
+    first order comes first in the scan, so the first violation, its count
+    and its witness are the ones a full scan finds.  Every unmarked
+    operator is scanned order by order.
+
+    Neutrality is that label-independence itself, so there the mark is not
+    trusted: one order per shape is run only when ``op.fn`` is the function
+    ``_tier_rule_operator`` built from the rule, which reads tier sizes
+    alone.  Then the first order of a shape is its canonical order, which
+    holds its one case against itself, and so does every later order.  A
+    marked operator with any other ``fn`` has every order scanned.
     """
     max_n = universe.max_n
     if axiom in _NEEDS_TIES and op.domain is Domain.LINEAR_ONLY:
@@ -515,7 +531,7 @@ def _check(op: PositionOperator, axiom: Axiom, universe: _Universe) -> AxiomRepo
     # The case count of each tier-size shape seen, when one order per
     # shape suffices.
     by_shape: dict[tuple[int, ...], int] | None = (
-        {} if op._tier_rule and axiom is not Axiom.NEUTRALITY else None
+        {} if op._tier_rule and (axiom is not Axiom.NEUTRALITY or op.fn is op._tier_fn) else None
     )
     cases = 0
     for order, code, shape in universe.orders:

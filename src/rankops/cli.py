@@ -8,11 +8,11 @@ Three subcommands:
 
 Exit codes: 0 success (verify: everything as expected), 1 verification
 mismatch, 2 malformed input, out-of-range arguments, or input or output
-that cannot be read or written (a closed stdin or stdout included), 141
-stdout closed by its reader before the output was written.  A closed or
-failed stderr changes no exit code.  ``rank`` reads and writes UTF-8
-whatever the locale, and drops a leading byte-order mark from its input;
-error lines are UTF-8 too.
+that cannot be read or written (a closed stdin or stdout included), 130
+interrupted (Ctrl-C), 141 stdout closed by its reader before the output
+was written.  A closed or failed stderr changes no exit code.  ``rank``
+reads and writes UTF-8 whatever the locale, and drops a leading
+byte-order mark from its input; error lines are UTF-8 too.
 """
 
 from __future__ import annotations
@@ -92,6 +92,9 @@ _ERROR_CHARS = 200
 # Exit code when the reader of stdout leaves early, as ``| head`` does: the
 # status a process killed by SIGPIPE reports, 128 + 13.
 EXIT_PIPE_CLOSED = 141
+# Exit code when the run is interrupted, as by Ctrl-C: the status a process
+# killed by SIGINT reports, 128 + 2.
+_EXIT_INTERRUPTED = 130
 
 
 def _parse_scores(text: str, has_header: bool) -> dict[Score, list[str]]:
@@ -413,14 +416,21 @@ def _cmd_verify(args: argparse.Namespace, stdout: TextIO | None) -> int:
     # Below three alternatives some expected failures have no counterexample yet.
     if not 3 <= args.max_n <= 7:
         raise InputError(f"--max-n must be between 3 and 7, got {args.max_n}")
-    # Open the report first, so a bad path fails before the engine runs.
+    # The output is checked first, so a bad path fails before the engine
+    # runs; the report is opened without truncating for that, and emptied
+    # only once the document is built, so an interrupted or failed run
+    # leaves an earlier report as it was.
+    if args.report:
+        open(args.report, "a", encoding="utf-8").close()
+    else:
+        stdout = _stream(stdout, "output")
+    document, ok = build_verification_document(args.max_n)
     report = (
         open(args.report, "w", encoding="utf-8", newline="\n")
         if args.report
-        else contextlib.nullcontext(_stream(stdout, "output"))
+        else contextlib.nullcontext(stdout)
     )
     with report as handle:
-        document, ok = build_verification_document(args.max_n)
         handle.write(json.dumps(document, indent=2) + "\n")
     _say(f"verification at max n = {args.max_n}: {'all as expected' if ok else 'MISMATCH'}")
     return 0 if ok else 1
@@ -527,6 +537,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         # Nobody reads the rest.
         _drop(sys.stdout)
         return EXIT_PIPE_CLOSED
+    except KeyboardInterrupt:
+        # What stdout still holds is dropped, as after a failed write.
+        if sys.stdout is not None:
+            with contextlib.suppress(OSError):  # a stream with no file
+                _drop(sys.stdout)
+        _say("error: interrupted")
+        return _EXIT_INTERRUPTED
     except (InputError, OSError) as exc:
         if isinstance(exc, OSError) and sys.stdout is not None:
             # A file or a stream that cannot be read or written.  If it is

@@ -131,10 +131,14 @@ class PositionOperator:
     domain: Domain
     fn: Callable[[WeakOrder], PositionAssignment] = field(compare=False)
     # Set by _tier_rule_operator alone: the rule ``fn`` applies, which reads
-    # the values of an order's tiers off its tier sizes, never its labels;
-    # None for any other operator.  Not an __init__ parameter, so a public
-    # construction or a dataclasses.replace copy is unmarked.
+    # the values of an order's tiers off its tier sizes, never its labels,
+    # and the ``fn`` it built from that rule; None for any other operator.
+    # Not __init__ parameters, so a public construction or a
+    # dataclasses.replace copy is unmarked.
     _tier_rule: TierRule | None = field(default=None, init=False, repr=False, compare=False)
+    _tier_fn: Callable[[WeakOrder], PositionAssignment] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def in_domain(self, order: WeakOrder) -> bool:
         return self.domain is Domain.ALL_WEAK_ORDERS or order.is_linear
@@ -178,8 +182,9 @@ def _tier_rule_operator(name: str, rule: TierRule, domain: Domain = Domain.ALL_W
 
     A relabelling of the order then relabels its positions and changes no
     value, so :mod:`rankops.axioms` may check one order per tier-size
-    shape outside neutrality, and ``rank`` calls the rule on the tier sizes
-    without building the order.
+    shape, and ``rank`` calls the rule on the tier sizes without building
+    the order.  The operator also records the ``fn`` built here: only while
+    ``fn`` is that function does the engine take neutrality as proved.
     """
 
     def fn(order: WeakOrder) -> PositionAssignment:
@@ -187,6 +192,7 @@ def _tier_rule_operator(name: str, rule: TierRule, domain: Domain = Domain.ALL_W
 
     op = PositionOperator(name=name, domain=domain, fn=fn)
     object.__setattr__(op, "_tier_rule", rule)
+    object.__setattr__(op, "_tier_fn", fn)
     return op
 
 

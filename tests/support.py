@@ -2,8 +2,8 @@
 interpreter, and the universe of weak orders the exhaustive tests walk.
 
 Every child interpreter runs with warnings as errors, and ``run`` gives it
-a timeout.  This is a plain module that the tests import; pytest does not
-collect it."""
+a timeout; a child that ``start`` opens is ended with one.  This is a
+plain module that the tests import; pytest does not collect it."""
 
 from __future__ import annotations
 
@@ -61,6 +61,20 @@ def run(
         env=_default_env() if env is None else env,
         cwd=cwd,
         timeout=timeout,
+    )
+
+
+def start(argv: Sequence[str], *, cwd: Path | str = REPO) -> subprocess.Popen:
+    """Start ``argv`` with ``env()`` and a pipe on each standard stream, for
+    a test that acts on the child while it runs.  Use it as a context
+    manager, and end the child with ``communicate(timeout=...)``."""
+    return subprocess.Popen(
+        argv,
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_default_env(),
+        cwd=cwd,
     )
 
 

@@ -588,19 +588,32 @@ def test_shape_reduced_cells_match_full_scans():
             assert check(op, axiom, 5) == check(copy, axiom, 5), (name, axiom)
 
 
-def test_neutrality_scans_every_order_and_other_cells_one_per_shape(monkeypatch):
+def test_a_constructor_built_rule_runs_one_order_per_shape_and_any_other_fn_every_order(monkeypatch):
     def relabel(order, mapping):
         raise AssertionError(f"a passing neutrality cell built a relabelled [{order}]")
 
     calls = _counted_calls(monkeypatch)
     monkeypatch.setattr(WeakOrder, "relabel", relabel)
     universe = set(support.orders_up_to(4))
-    assert check(REGISTRY["dense"], Axiom.NEUTRALITY, 4).verdict is Verdict.PASS
+    dense_op = REGISTRY["dense"]
+    for axiom in (Axiom.NEUTRALITY, Axiom.MONOTONICITY):
+        calls.clear()
+        report = check(dense_op, axiom, 4)
+        # one order per composition of n = 1..4 into tier sizes
+        assert len(calls) == 1 + 2 + 4 + 8, axiom
+        assert report.verdict is Verdict.PASS, axiom
+    assert check(dense_op, Axiom.NEUTRALITY, 4).cases_checked == 92
+    # Any other fn has its neutrality scanned order by order: a public copy
+    # of dense through the whole universe, and a marked rule that reads x3
+    # up to its witness on three alternatives.
+    calls.clear()
+    check(PositionOperator(dense_op.name, dense_op.domain, dense_op.fn), Axiom.NEUTRALITY, 4)
     assert universe <= {order for _, order in calls}
     calls.clear()
-    check(REGISTRY["dense"], Axiom.MONOTONICITY, 4)
-    # one order per composition of n = 1..4 into tier sizes
-    assert len(calls) == 1 + 2 + 4 + 8
+    witness = check(_marked("x3-on-top", _x3_on_top), Axiom.NEUTRALITY, 4).witness
+    assert witness.base.n == 3
+    scan = [order for order, _, _ in _Universe(4).orders]
+    assert set(scan[: scan.index(witness.base) + 1]) <= {order for _, order in calls}
     calls.clear()
     check(REGISTRY["dense-chain"], Axiom.MONOTONICITY, 4)
     assert {order for _, order in calls} == universe

@@ -3,7 +3,11 @@ from __future__ import annotations
 import io
 import json
 import os
+import re
+import select
+import signal
 import subprocess
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -306,6 +310,46 @@ def test_main_verify_unwritable_report_is_input_error(tmp_path, monkeypatch, cap
     assert "Traceback" not in err
 
 
+class _InterruptedRead(io.BytesIO):
+    def read(self, *args):
+        raise KeyboardInterrupt
+
+
+def test_main_interrupted_is_one_line_and_exit_130(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(_InterruptedRead(), encoding="utf-8"))
+    assert main(["rank", "--method", "dense"]) == 130
+    assert capsys.readouterr() == ("", "error: interrupted\n")
+
+
+def test_main_interrupted_drops_what_stdout_still_holds(tmp_path, monkeypatch, capsys):
+    def interrupted(ground):
+        yield from enumerate_weak_orders(ground)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("rankops.cli.enumerate_weak_orders", interrupted)
+    path = tmp_path / "out"
+    with open(path, "w", encoding="utf-8") as stdout:
+        monkeypatch.setattr("sys.stdout", stdout)
+        assert main(["enumerate", "3"]) == 130
+    assert path.read_bytes() == b""
+    assert capsys.readouterr().err == "error: interrupted\n"
+
+
+@pytest.mark.parametrize("error, code", [(KeyboardInterrupt, 130), (OSError, 2)])
+def test_main_verify_keeps_an_earlier_report_when_the_engine_stops(tmp_path, monkeypatch, capsys, error, code):
+    def engine(max_n):
+        raise error("stopped")
+
+    report = tmp_path / "r.json"
+    report.write_bytes(b'{"earlier": true}\n')
+    monkeypatch.setattr("rankops.cli.build_verification_document", engine)
+    assert main(["verify", "--max-n", "3", "--report", str(report)]) == code
+    assert report.read_bytes() == b'{"earlier": true}\n'
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "before, after",
     [
@@ -519,6 +563,26 @@ def test_subprocess_failed_or_missing_stderr_keeps_the_exit_code(tmp_path, args,
     assert (result.returncode, result.stdout, result.stderr) == (code, b"", b"")
     if code == 0:
         assert json.loads((tmp_path / "r.json").read_text(encoding="utf-8"))["allExpected"] is True
+
+
+@pytest.mark.skipif(os.name != "posix", reason="needs SIGINT and select on a pipe")
+def test_subprocess_interrupted_rank_is_one_line_and_exit_130():
+    """``rank`` waiting on an open stdin, sent SIGINT as Ctrl-C sends it."""
+    argv = [*support.PYTHON, "-X", "importtime", "-m", "rankops", "rank", "--method", "dense"]
+    with support.start(argv) as child:
+        # -X importtime names each module on stderr once it is loaded; once
+        # the CLI is, rank soon waits for its input.
+        seen = b""
+        while not re.search(rb" rankops\.cli\r?\n", seen):
+            assert select.select([child.stderr], [], [], 60)[0], seen
+            chunk = os.read(child.stderr.fileno(), 4096)
+            assert chunk, seen
+            seen += chunk
+        time.sleep(0.5)
+        child.send_signal(signal.SIGINT)
+        out, err = child.communicate(timeout=60)
+    lines = [line for line in (seen + err).decode().splitlines() if not line.startswith("import time:")]
+    assert (child.returncode, out, lines) == (130, b"", ["error: interrupted"])
 
 
 # ----- a byte-order mark before the input ----------------------------------------
