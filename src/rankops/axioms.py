@@ -41,14 +41,16 @@ Nine registered operators (``dense``, ``standard``, ``modified``,
 ``fractional``, ``sequential``, ``quotient``, ``plus-n``,
 ``dense-over-tiercount`` and every affine operator) are marked as tier
 rules: each gives a tier's members one value read from the order's tier
-sizes alone.  For these, every cell runs its definition on the first
-order of each tier-size shape only, and counts that order's cases once
-more for each later order of the shape.  This is sound because a
-permutation of x1..xn that fixes the clone label carries every case of an
-order, with its derived orders, onto a case of the permuted order with the
-same outcome, so same-shape orders hold or fail alike and have equally
-many cases; and the scan meets each shape's first order first, so it
-reports the first violation a full scan would.  Every unmarked operator
+sizes alone.  For these, every cell visits shapes, not orders: it runs
+its definition on the first order of each tier-size shape only (a
+linear-only operator skips the shapes with a tie), and counts that
+order's cases once for every order of the shape.  This is sound because
+a permutation of x1..xn that fixes the clone label carries every case of
+an order, with its derived orders, onto a case of the permuted order with
+the same outcome, so same-shape orders hold or fail alike and have
+equally many cases; and the scan meets each shape's first order first, so
+it reports the first violation a full scan would, counting the cases of
+every order the scan meets before it.  Every unmarked operator
 (``list-index``, ``dense-chain`` and any operator built with the public
 constructor) is scanned order by order.
 
@@ -86,6 +88,7 @@ duplication is automatically neutral).
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -202,7 +205,6 @@ def _code(tiers: Iterable[Iterable[AltId]], slot: Mapping[AltId, int]) -> Code:
     return tuple(code)
 
 
-@dataclass(frozen=True)
 class _Positions:
     """One operator's positions on the orders a definition asks for.
 
@@ -218,12 +220,21 @@ class _Positions:
     ``slot``, ``clone``, ``alternatives``, ``at`` and ``evaluate``.
     """
 
-    op: PositionOperator
-    slot: Mapping[AltId, int]
-    clone: AltId
-    alternatives: Mapping[int, tuple[AltId, ...]]
-    table: dict[Code, Pairs] = field(default_factory=dict)
-    pairs: dict[Pair, Pair] = field(default_factory=dict)
+    __slots__ = ("op", "slot", "clone", "alternatives", "table", "pairs")
+
+    def __init__(
+        self,
+        op: PositionOperator,
+        slot: Mapping[AltId, int],
+        clone: AltId,
+        alternatives: Mapping[int, tuple[AltId, ...]],
+    ) -> None:
+        self.op = op
+        self.slot = slot
+        self.clone = clone
+        self.alternatives = alternatives
+        self.table: dict[Code, Pairs] = {}
+        self.pairs: dict[Pair, Pair] = {}
 
     def evaluate(self, order: WeakOrder) -> Pairs:
         """Each alternative's position in ``order`` as its pair, untabled."""
@@ -249,7 +260,13 @@ class _Positions:
 
 class _Universe:
     """Every weak order on x1..xn, n = 1..max_n, with its code and its shape,
-    the run's clone label, and the position table of the operator checked last."""
+    the run's clone label, and the position table of the operator checked last.
+
+    ``orders`` holds (order, code, shape) triples in scan order.  ``shapes``
+    holds, for each tier-size shape in the order the scan first meets it,
+    the index in ``orders`` of its first order and how many orders have
+    that shape.
+    """
 
     def __init__(self, max_n: int) -> None:
         if max_n < 2:
@@ -269,6 +286,11 @@ class _Universe:
             for order in enumerate_weak_orders(engine_ground(n))
             for shape in (tuple(map(len, order.tiers)),)
         ]
+        first: dict[tuple[int, ...], int] = {}
+        for index, (_, _, shape) in enumerate(self.orders):
+            first.setdefault(shape, index)
+        count = Counter(shape for _, _, shape in self.orders)
+        self.shapes = [(index, count[shape]) for shape, index in first.items()]
         self._positions: _Positions | None = None
 
     def positions(self, op: PositionOperator) -> _Positions:
@@ -506,14 +528,17 @@ def _check(op: PositionOperator, axiom: Axiom, universe: _Universe) -> AxiomRepo
     definition evaluates no order it does not speak of.
 
     For an operator marked as a tier rule, the definition runs on the first
-    order of each tier-size shape alone; every later order of that shape
-    adds the first one's case count.  Such an operator gives a permuted
-    order the permuted positions, and every derived order, the clone's
-    included, is permuted along with its base, so an order's cases hold or
-    fail exactly as its shape's first order's do, and are as many.  That
-    first order comes first in the scan, so the first violation, its count
-    and its witness are the ones a full scan finds.  Every unmarked
-    operator is scanned order by order.
+    order of each tier-size shape alone, and a linear-only operator skips
+    every shape with a tie.  Such an operator gives a permuted order the
+    permuted positions, and every derived order, the clone's included, is
+    permuted along with its base, so an order's cases hold or fail exactly
+    as its shape's first order's do, and are as many.  A pass counts, for
+    each shape, its orders times its first order's cases.  That first order
+    comes first in the scan, so the first violation and its witness are the
+    ones a full scan finds; the count is the cases of every order before it
+    in the scan, each its shape's (none for a skipped shape), and then the
+    failing order's own.  Every unmarked operator is scanned order by
+    order.
 
     Neutrality is that label-independence itself, so there the mark is not
     trusted: one order per shape is run only when ``op.fn`` is the function
@@ -528,25 +553,33 @@ def _check(op: PositionOperator, axiom: Axiom, universe: _Universe) -> AxiomRepo
     positions = universe.positions(op)
     linear = op.domain is Domain.LINEAR_ONLY
     cases_of = _DEFINITIONS[axiom]
-    # The case count of each tier-size shape seen, when one order per
-    # shape suffices.
-    by_shape: dict[tuple[int, ...], int] | None = (
-        {} if op._tier_rule and (axiom is not Axiom.NEUTRALITY or op.fn is op._tier_fn) else None
-    )
+    orders = universe.orders
     cases = 0
-    for order, code, shape in universe.orders:
+    if not op._tier_rule or (axiom is Axiom.NEUTRALITY and op.fn is not op._tier_fn):
+        for order, code, _ in orders:
+            if linear and not order.is_linear:
+                continue
+            for witness in cases_of(positions, order, code):
+                cases += 1
+                if witness is not None:
+                    return AxiomReport(op.name, axiom, max_n, Verdict.FAIL, cases, witness)
+        return AxiomReport(op.name, axiom, max_n, Verdict.PASS, cases, None)
+    # The case count of each shape visited so far, 0 for a skipped one.
+    by_shape: dict[tuple[int, ...], int] = {}
+    for first, count in universe.shapes:
+        order, code, shape = orders[first]
         if linear and not order.is_linear:
+            by_shape[shape] = 0
             continue
-        if by_shape is not None and shape in by_shape:
-            cases += by_shape[shape]
-            continue
-        first = cases
+        own = 0
         for witness in cases_of(positions, order, code):
-            cases += 1
+            own += 1
             if witness is not None:
-                return AxiomReport(op.name, axiom, max_n, Verdict.FAIL, cases, witness)
-        if by_shape is not None:
-            by_shape[shape] = cases - first
+                # Every order before this one has a shape visited already.
+                before = sum(by_shape[earlier] for _, _, earlier in orders[:first])
+                return AxiomReport(op.name, axiom, max_n, Verdict.FAIL, before + own, witness)
+        by_shape[shape] = own
+        cases += count * own
     return AxiomReport(op.name, axiom, max_n, Verdict.PASS, cases, None)
 
 

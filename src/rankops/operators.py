@@ -144,7 +144,9 @@ class PositionOperator:
         return self.domain is Domain.ALL_WEAK_ORDERS or order.is_linear
 
     def __call__(self, order: WeakOrder) -> PositionAssignment:
-        if not self.in_domain(order):
+        # in_domain, tested inline: the engine calls an operator once per
+        # order it evaluates.
+        if self.domain is Domain.LINEAR_ONLY and not order.is_linear:
             raise NotLinear(f"operator {self.name!r} is defined on linear orders only")
         return self.fn(order)
 
@@ -231,19 +233,23 @@ dense = _tier_rule_operator("dense", _dense_rule)
 
 
 def _chain_positions(order: WeakOrder) -> PositionAssignment:
-    by_count = {
-        order.dominated_count(rep): _whole(depth)
-        for depth, rep in enumerate(order.maximal_chain(), start=1)
-    }
-    return PositionAssignment(
-        {alt: by_count[order.dominated_count(alt)] for alt in order.ground}
-    )
+    counts: dict[AltId, int] = {}
+    below = order.n
+    for tier in order.tiers:
+        below -= len(tier)
+        for alt in tier:
+            counts[alt] = below
+    by_count = {counts[rep]: _whole(depth) for depth, rep in enumerate(order.maximal_chain(), start=1)}
+    return PositionAssignment({alt: by_count[count] for alt, count in counts.items()})
 
 
 # Dense rank computed along a maximal strict chain.  The chain's elements
 # receive 1, 2, ... down the chain, and each value is propagated to all
-# alternatives with the same dominated count.  This is an independent route
-# to the same assignment as ``dense`` and is kept as a cross-check.
+# alternatives with the same dominated count.  One pass over the tiers reads
+# every alternative's count: n less the alternatives in its tier and above.
+# A value is the depth of the chain element with that count, never a tier's
+# index, so this is an independent route to the same assignment as
+# ``dense``, kept as a cross-check.
 dense_via_chain = PositionOperator("dense-chain", Domain.ALL_WEAK_ORDERS, _chain_positions)
 
 # Competition rank: ties get the highest rank they cover.

@@ -157,7 +157,7 @@ class WeakOrder:
     _index: dict[AltId, int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        tiers = tuple(frozenset(tier) for tier in self.tiers)
+        tiers = tuple(map(frozenset, self.tiers))
         object.__setattr__(self, "tiers", tiers)
         if not tiers:
             raise EmptyOrder("a weak order needs at least one tier")
@@ -166,7 +166,8 @@ class WeakOrder:
             if not tier:
                 raise EmptyTier(f"tier {position} is empty")
             for alt in tier:
-                if not isinstance(alt, (str, int)) or isinstance(alt, bool):
+                # Most labels are str: one type test passes them.
+                if type(alt) is not str and (not isinstance(alt, (str, int)) or isinstance(alt, bool)):
                     raise OrderError(f"labels must be strings or integers, got {alt!r}")
                 if alt in index:
                     raise DuplicateAlternative(
@@ -222,12 +223,7 @@ class WeakOrder:
 
     def dominated_count(self, alt: AltId) -> int:
         """Number of alternatives strictly below ``alt``."""
-        # Read directly rather than through tier_index_of: dense-chain asks
-        # once per alternative on every evaluation.
-        try:
-            return self._below[self._index[alt]]
-        except KeyError:
-            raise UnknownAlternative(f"unknown alternative {alt!r}") from None
+        return self._below[self.tier_index_of(alt)]
 
     def sorted_alternatives(self) -> list[AltId]:
         """All alternatives in the canonical label order."""
@@ -316,6 +312,8 @@ class WeakOrder:
             raise SourceTierWouldVanish(
                 f"{mover!r} is alone in tier {source}; moving it would delete the tier"
             )
+        if not isinstance(target_tier, int) or isinstance(target_tier, bool):
+            raise TargetTierAbsent(f"tier {target_tier!r} is not a tier index")
         if not 0 <= target_tier < self.num_tiers:
             raise TargetTierAbsent(
                 f"tier {target_tier} does not exist (order has {self.num_tiers} tiers)"

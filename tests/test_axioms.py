@@ -38,7 +38,7 @@ from rankops import (
 )
 from rankops.axioms import _DEFINITIONS, _Universe
 from rankops.cli import main
-from rankops.operators import _by_tier, _dense_rule
+from rankops.operators import _by_tier, _dense_rule, _tier_rule_operator
 
 AXIOMS = tuple(Axiom)
 LETTER = {"P": Verdict.PASS, "F": Verdict.FAIL, "N": Verdict.NOT_APPLICABLE}
@@ -617,6 +617,48 @@ def test_a_constructor_built_rule_runs_one_order_per_shape_and_any_other_fn_ever
     calls.clear()
     check(REGISTRY["dense-chain"], Axiom.MONOTONICITY, 4)
     assert {order for _, order in calls} == universe
+
+
+def _wrong_on_four(sizes):
+    """The dense rule, one too high on four alternatives."""
+    shift = int(sum(sizes) == 4)
+    return range(1 + shift, len(sizes) + 1 + shift)
+
+
+def _wrong_on_one_over_two(sizes):
+    """The dense rule, but 1 and 3 for one alternative over a tied pair."""
+    return [1, 3] if list(sizes) == [1, 2] else _dense_rule(sizes)
+
+
+# Tier rules that fail on one shape's first order, each with the cells it fails.
+SHAPE_FOILS = {
+    "wrong-on-four": (
+        _tier_rule_operator("wrong-on-four", _wrong_on_four, Domain.LINEAR_ONLY),
+        {Axiom.SEQUENTIALITY, Axiom.TRUNCATION},
+    ),
+    "wrong-on-one-over-two": (
+        _tier_rule_operator("wrong-on-one-over-two", _wrong_on_one_over_two),
+        {Axiom.TRUNCATION, Axiom.DUPLICATION, Axiom.UD_INDEPENDENCY},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHAPE_FOILS))
+def test_a_failing_tier_rule_reports_what_a_full_scan_does(name):
+    """A tier rule's cell visits one order per shape, so on a failure it
+    counts the cases of every order the scan meets first: later orders of
+    earlier shapes too (truncation fails on {x1} > {x2, x3} > {x4}, after
+    x2 > x1), and none of the shapes with a tie that a linear-only operator
+    skips.  The public copy of the rule is scanned order by order."""
+    op, failing = SHAPE_FOILS[name]
+    scanned = PositionOperator(op.name, op.domain, op.fn)
+    failed = set()
+    for axiom in Axiom:
+        report = check(op, axiom, 5)
+        assert report == check(scanned, axiom, 5), axiom
+        if report.verdict is Verdict.FAIL:
+            failed.add(axiom)
+    assert failed == failing
 
 
 def test_a_label_dependent_rule_is_scanned_in_full():

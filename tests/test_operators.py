@@ -7,7 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 import support
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from rankops import (
     NegativeCoefficient,
@@ -15,6 +15,7 @@ from rankops import (
     OPERATOR_NAMES,
     REGISTRY,
     UnknownOperator,
+    WeakOrder,
     affine,
     dense,
     dense_over_tier_count,
@@ -120,10 +121,10 @@ def test_monotonicity_of_principal_operators_exhaustive():
 
 def test_dense_equals_chain_computation_exhaustive():
     total = 0
-    for order in support.orders_up_to(5):
+    for order in support.orders_up_to(6):
         total += 1
         assert dense(order) == dense_via_chain(order)
-    assert total == 1 + 3 + 13 + 75 + 541
+    assert total == 1 + 3 + 13 + 75 + 541 + 4683
 
 
 def test_dense_range_is_initial_segment():
@@ -444,6 +445,26 @@ def test_random_midpoint_identity(order):
 
 @given(support.weak_orders())
 def test_random_dense_matches_chain(order):
+    assert dense(order) == dense_via_chain(order)
+
+
+@st.composite
+def _mixed_label_orders(draw) -> WeakOrder:
+    """An order on up to seven labels, int and str mixed, one of them the
+    engine's clone label +c0, so a tier may mix the two types."""
+    others = st.one_of(st.integers(-3, 12), st.sampled_from(["x1", "x2", "x10", "a", "+c1", "é"]))
+    labels = ["+c0", *draw(st.lists(others, max_size=6, unique=True))]
+    keys = draw(st.lists(st.integers(0, len(labels) - 1), min_size=len(labels), max_size=len(labels)))
+    groups: dict[int, set] = {}
+    for label, key in zip(labels, keys):
+        groups.setdefault(key, set()).add(label)
+    return from_tiers([groups[k] for k in sorted(groups)])
+
+
+@given(_mixed_label_orders())
+def test_random_dense_matches_chain_on_mixed_labels(order):
+    """dense-chain reads each tier's least label, by label_key where a tier
+    mixes int and str labels."""
     assert dense(order) == dense_via_chain(order)
 
 

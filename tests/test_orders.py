@@ -276,6 +276,20 @@ def test_ud_move_errors():
         order.ud_move("nope", 0)
 
 
+def test_ud_move_refuses_a_bool_target():
+    """True is an int to Python, and indexed tier 1 before it was refused."""
+    order = from_tiers([{"a", "b"}, {"c"}])
+    with pytest.raises(TargetTierAbsent, match="True is not a tier index"):
+        order.ud_move("a", True)
+
+
+def test_ud_move_refuses_a_target_that_is_not_an_int():
+    """A float target raised a bare TypeError from indexing the tiers."""
+    order = from_tiers([{"a", "b"}, {"c"}])
+    with pytest.raises(TargetTierAbsent, match="1.0 is not a tier index"):
+        order.ud_move("a", 1.0)
+
+
 def test_ud_move_preserves_structure_exhaustive():
     for order in support.orders_up_to(5):
         for mover in order.sorted_alternatives():
