@@ -37,33 +37,39 @@ built only when the table lacks it, or for a witness.  Orders holding a
 clone are always evaluated, never tabled.  ``replay_witness`` evaluates
 through a table of its own, never the run's.
 
-Nine registered operators (``dense``, ``standard``, ``modified``,
-``fractional``, ``sequential``, ``quotient``, ``plus-n``,
-``dense-over-tiercount`` and every affine operator) are marked as tier
-rules: each gives a tier's members one value read from the order's tier
-sizes alone.  For these, every cell visits shapes, not orders: it runs
-its definition on the first order of each tier-size shape only (a
-linear-only operator skips the shapes with a tie), and counts that
-order's cases once for every order of the shape.  This is sound because
-a permutation of x1..xn that fixes the clone label carries every case of
-an order, with its derived orders, onto a case of the permuted order with
-the same outcome, so same-shape orders hold or fail alike and have
-equally many cases; and the scan meets each shape's first order first, so
-it reports the first violation a full scan would, counting the cases of
-every order the scan meets before it.  Every unmarked operator
-(``list-index``, ``dense-chain`` and any operator built with the public
-constructor) is scanned order by order.
+Ten registered operators have their positions vouched label-free by
+:mod:`rankops.operators`: the nine tier rules (``dense``, ``standard``,
+``modified``, ``fractional``, ``sequential``, ``quotient``, ``plus-n``,
+``dense-over-tiercount`` and every affine operator), each of which gives a
+tier's members one value read from the order's tier sizes alone, and
+``dense-chain``, whose value for an alternative is the chain depth of its
+dominated count, read from the tier sizes too.  For these, every cell
+visits shapes, not orders: it runs its definition on the first order of
+each tier-size shape only (a linear-only operator skips the shapes with a
+tie), and counts that order's cases once for every order of the shape.
+This is sound because a permutation of x1..xn that fixes the clone label
+carries every case of an order, with its derived orders, onto a case of
+the permuted order with the same outcome, so same-shape orders hold or
+fail alike and have equally many cases; and the scan meets each shape's
+first order first, so it reports the first violation a full scan would,
+counting the cases of every order the scan meets before it.  Every other
+operator (``list-index`` and any operator built with the public
+constructor, a copy of a vouched one included) is scanned order by order.
 
-Neutrality is the claim that labels do not matter, so for it the mark
-alone is not enough.  It is a theorem for an operator whose ``fn`` is the
-function the tier-rule constructor built from its rule: that function
-gives every member of a tier the value the rule reads off the tier sizes,
-so an alternative's position depends on its order's shape and its tier
-alone, which is what the neutrality case compares.  The first order of
-each shape is the shape's canonical order, compared with itself, and
-holds with one case; every later order adds one.  A marked operator with
-any other ``fn``, such as a rule that reads labels under a forged mark, is
-scanned order by order in neutrality, and so caught.
+Neutrality is that label-independence itself, and a theorem for a vouched
+function: an alternative's position depends on its order's shape and its
+tier alone, which is what the neutrality case compares.  The first order
+of each shape is the shape's canonical order, compared with itself, and
+holds with one case; every later order adds one.  The engine trusts the
+voucher only while the operator's ``fn`` is the vouched function, so an
+operator that carries a tier rule's mark on another ``fn``, such as a rule
+that reads labels under a forged mark, is scanned order by order in every
+cell, and so caught.
+
+``dense-chain`` computes ``dense``'s positions by another route, and its
+seven cells check one order per shape.  That it equals ``dense`` on every
+order, not just each shape's first, is held by tier-1 tests: an exhaustive
+comparison on up to six alternatives and drawn orders over other labels.
 
 Positions are compared as exact pairs: a ``Fraction`` is kept in lowest
 terms with a positive denominator, so its (numerator, denominator) pair
@@ -527,25 +533,26 @@ def _check(op: PositionOperator, axiom: Axiom, universe: _Universe) -> AxiomRepo
     at the first violating case.  Handed only an order and its code, the
     definition evaluates no order it does not speak of.
 
-    For an operator marked as a tier rule, the definition runs on the first
-    order of each tier-size shape alone, and a linear-only operator skips
-    every shape with a tie.  Such an operator gives a permuted order the
-    permuted positions, and every derived order, the clone's included, is
-    permuted along with its base, so an order's cases hold or fail exactly
-    as its shape's first order's do, and are as many.  A pass counts, for
-    each shape, its orders times its first order's cases.  That first order
+    For an operator whose ``fn`` is the function ``rankops.operators``
+    vouches label-free (every tier rule built by its constructor, and
+    ``dense-chain``), the definition runs on the first order of each
+    tier-size shape alone, and a linear-only operator skips every shape
+    with a tie.  Such a function gives a permuted order the permuted
+    positions, and every derived order, the clone's included, is permuted
+    along with its base, so an order's cases hold or fail exactly as its
+    shape's first order's do, and are as many.  A pass counts, for each
+    shape, its orders times its first order's cases.  That first order
     comes first in the scan, so the first violation and its witness are the
     ones a full scan finds; the count is the cases of every order before it
     in the scan, each its shape's (none for a skipped shape), and then the
-    failing order's own.  Every unmarked operator is scanned order by
-    order.
+    failing order's own.
 
-    Neutrality is that label-independence itself, so there the mark is not
-    trusted: one order per shape is run only when ``op.fn`` is the function
-    ``_tier_rule_operator`` built from the rule, which reads tier sizes
-    alone.  Then the first order of a shape is its canonical order, which
-    holds its one case against itself, and so does every later order.  A
-    marked operator with any other ``fn`` has every order scanned.
+    Neutrality needs no permutation of the case: a vouched function's
+    positions depend on the shape and the tier alone, so the first order of
+    a shape, its canonical order, holds its one case against itself, and so
+    does every later order.  Any other operator, a forged mark or a public
+    copy of a vouched one included, is scanned order by order in every
+    cell.
     """
     max_n = universe.max_n
     if axiom in _NEEDS_TIES and op.domain is Domain.LINEAR_ONLY:
@@ -555,7 +562,7 @@ def _check(op: PositionOperator, axiom: Axiom, universe: _Universe) -> AxiomRepo
     cases_of = _DEFINITIONS[axiom]
     orders = universe.orders
     cases = 0
-    if not op._tier_rule or (axiom is Axiom.NEUTRALITY and op.fn is not op._tier_fn):
+    if op.fn is not op._label_free_fn:
         for order, code, _ in orders:
             if linear and not order.is_linear:
                 continue

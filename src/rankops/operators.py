@@ -130,13 +130,16 @@ class PositionOperator:
     name: str
     domain: Domain
     fn: Callable[[WeakOrder], PositionAssignment] = field(compare=False)
-    # Set by _tier_rule_operator alone: the rule ``fn`` applies, which reads
-    # the values of an order's tiers off its tier sizes, never its labels,
-    # and the ``fn`` it built from that rule; None for any other operator.
-    # Not __init__ parameters, so a public construction or a
-    # dataclasses.replace copy is unmarked.
+    # Set in this module alone, and not __init__ parameters, so a public
+    # construction or a dataclasses.replace copy carries neither.
+    # ``_tier_rule``: the rule ``fn`` applies, which reads the values of an
+    # order's tiers off its tier sizes; set by _tier_rule_operator, and read
+    # by ``rank``.  ``_label_free_fn``: a function this module vouches reads
+    # an order's tier structure alone, never its labels, so that a
+    # relabelling of the order relabels its positions and changes no value;
+    # the engine trusts it only while ``fn`` is that function.
     _tier_rule: TierRule | None = field(default=None, init=False, repr=False, compare=False)
-    _tier_fn: Callable[[WeakOrder], PositionAssignment] | None = field(
+    _label_free_fn: Callable[[WeakOrder], PositionAssignment] | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -183,10 +186,10 @@ def _tier_rule_operator(name: str, rule: TierRule, domain: Domain = Domain.ALL_W
     reads off the order's tier sizes, marked with that rule.
 
     A relabelling of the order then relabels its positions and changes no
-    value, so :mod:`rankops.axioms` may check one order per tier-size
-    shape, and ``rank`` calls the rule on the tier sizes without building
-    the order.  The operator also records the ``fn`` built here: only while
-    ``fn`` is that function does the engine take neutrality as proved.
+    value, so the ``fn`` built here is vouched label-free, and
+    :mod:`rankops.axioms` checks one order per tier-size shape while the
+    operator's ``fn`` is that function.  ``rank`` calls the rule on the
+    tier sizes without building the order.
     """
 
     def fn(order: WeakOrder) -> PositionAssignment:
@@ -194,7 +197,7 @@ def _tier_rule_operator(name: str, rule: TierRule, domain: Domain = Domain.ALL_W
 
     op = PositionOperator(name=name, domain=domain, fn=fn)
     object.__setattr__(op, "_tier_rule", rule)
-    object.__setattr__(op, "_tier_fn", fn)
+    object.__setattr__(op, "_label_free_fn", fn)
     return op
 
 
@@ -249,8 +252,17 @@ def _chain_positions(order: WeakOrder) -> PositionAssignment:
 # every alternative's count: n less the alternatives in its tier and above.
 # A value is the depth of the chain element with that count, never a tier's
 # index, so this is an independent route to the same assignment as
-# ``dense``, kept as a cross-check.
+# ``dense``.  Tier-1 tests hold the two equal on every order up to six
+# alternatives and on drawn orders over other labels.
+#
+# It is vouched label-free: a count comes from the tier sizes, every member
+# of a tier has the same count, so the chain element maximal_chain picks in
+# a tier does not matter, and a count maps to the same depth under any
+# relabelling, the clone included.  So ``verify`` checks it one order per
+# tier-size shape, as it checks a tier rule.  It carries no ``_tier_rule``:
+# ``rank --method dense-chain`` evaluates it per alternative.
 dense_via_chain = PositionOperator("dense-chain", Domain.ALL_WEAK_ORDERS, _chain_positions)
+object.__setattr__(dense_via_chain, "_label_free_fn", _chain_positions)
 
 # Competition rank: ties get the highest rank they cover.
 standard = _tier_rule_operator("standard", _standard_rule)

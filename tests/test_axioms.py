@@ -294,7 +294,8 @@ def _x2_over_x1_shifted(order):
 
 def _marked(name, fn):
     """``fn`` under a tier rule's mark, though it reads labels: the mark's
-    promise broken on purpose, which the engine takes on trust."""
+    promise broken on purpose.  The mark vouches for no function, so the
+    engine scans such an operator order by order."""
     op = PositionOperator(name, Domain.ALL_WEAK_ORDERS, fn)
     object.__setattr__(op, "_tier_rule", _dense_rule)
     return op
@@ -530,9 +531,11 @@ def test_a_run_evaluates_each_order_once_per_operator(monkeypatch):
 
 def test_a_cell_checked_alone_evaluates_only_the_orders_it_speaks_of(monkeypatch):
     """Sequentiality speaks of linear orders only: 153 of the 633 orders on
-    up to five alternatives."""
+    up to five alternatives.  A public copy of dense-chain is scanned order
+    by order."""
     evaluated = _counted_calls(monkeypatch)
-    report = check(REGISTRY["dense-chain"], Axiom.SEQUENTIALITY, 5)
+    chain = REGISTRY["dense-chain"]
+    report = check(PositionOperator(chain.name, chain.domain, chain.fn), Axiom.SEQUENTIALITY, 5)
     assert report.verdict is Verdict.PASS
     assert report.cases_checked == sum(evaluated.values()) == 153
 
@@ -577,11 +580,22 @@ def test_only_tier_rule_operators_are_marked():
         dataclasses.replace(dense_op),
     ]
     assert all(op._tier_rule is None for op in unmarked)
+    # The operators whose cells visit one order per shape carry their own fn
+    # as vouched label-free: the tier rules and dense-chain, no public copy.
+    vouched = {name for name, op in REGISTRY.items() if op._label_free_fn is not None}
+    assert vouched == TIER_RULES | {"dense-chain"}
+    assert all(REGISTRY[name].fn is REGISTRY[name]._label_free_fn for name in vouched)
+    affine = get_operator("affine:a=3,b=0")
+    assert affine.fn is affine._label_free_fn
+    for op in (dense_op, REGISTRY["dense-chain"]):
+        for copy in (PositionOperator(op.name, op.domain, op.fn), dataclasses.replace(op)):
+            assert copy._label_free_fn is None, op.name
 
 
 def test_shape_reduced_cells_match_full_scans():
-    """A public construction is unmarked, so its copy is scanned in full:
-    every cell must report the same verdict, count and witness."""
+    """A public construction carries no vouched function, so its copy is
+    scanned in full: every cell must report the same verdict, count and
+    witness, dense-chain's too."""
     for name, op in REGISTRY.items():
         copy = PositionOperator(op.name, op.domain, op.fn)
         for axiom in Axiom:
@@ -614,8 +628,14 @@ def test_a_constructor_built_rule_runs_one_order_per_shape_and_any_other_fn_ever
     assert witness.base.n == 3
     scan = [order for order, _, _ in _Universe(4).orders]
     assert set(scan[: scan.index(witness.base) + 1]) <= {order for _, order in calls}
+    # dense-chain is vouched too, so its cells visit shapes; its public copy
+    # is scanned order by order.
+    chain = REGISTRY["dense-chain"]
     calls.clear()
-    check(REGISTRY["dense-chain"], Axiom.MONOTONICITY, 4)
+    check(chain, Axiom.MONOTONICITY, 4)
+    assert len(calls) == 1 + 2 + 4 + 8
+    calls.clear()
+    check(PositionOperator(chain.name, chain.domain, chain.fn), Axiom.MONOTONICITY, 4)
     assert {order for _, order in calls} == universe
 
 
@@ -662,15 +682,16 @@ def test_a_failing_tier_rule_reports_what_a_full_scan_does(name):
 
 
 def test_a_label_dependent_rule_is_scanned_in_full():
-    """A rule that looks at a label breaks what the mark promises: checked
-    on x1 > x2 > x3 alone it passes sequentiality, so only a full scan finds
-    the linear order with x3 on top."""
+    """A rule that looks at a label passes sequentiality when checked on
+    x1 > x2 > x3 alone, so only a full scan finds the linear order with x3
+    on top.  A forged tier-rule mark vouches for no function, so the
+    marked rule is scanned in full too, and fails alike."""
     unmarked = PositionOperator("x3-on-top", Domain.ALL_WEAK_ORDERS, _x3_on_top)
     report = check(unmarked, Axiom.SEQUENTIALITY, 3)
     assert report.verdict is Verdict.FAIL
     assert report.witness.base.tiers[0] == frozenset({"x3"})
     marked = _marked("x3-on-top", _x3_on_top)
-    assert check(marked, Axiom.SEQUENTIALITY, 3).verdict is Verdict.PASS
+    assert check(marked, Axiom.SEQUENTIALITY, 3) == report
 
 
 # ----- matrix and implications ------------------------------------------------------

@@ -127,6 +127,25 @@ def test_dense_equals_chain_computation_exhaustive():
     assert total == 1 + 3 + 13 + 75 + 541 + 4683
 
 
+def test_chain_positions_move_with_the_labels():
+    """The engine checks dense-chain one order per tier-size shape, which is
+    sound only if relabelling an order relabels its positions: the image of
+    each label gets its source's position, whichever label of a tier the
+    chain picks.  Maps: the reversal of x1..xn, each label sent to the clone
+    label +c0 in turn, and onto int labels in reverse."""
+    for order in support.orders_up_to(5):
+        ground = engine_ground(order.n)
+        maps = [
+            dict(zip(ground, reversed(ground))),
+            *({**{alt: alt for alt in ground}, source: "+c0"} for source in ground),
+            {alt: order.n - index for index, alt in enumerate(ground)},
+        ]
+        positions = dense_via_chain(order)
+        for mapping in maps:
+            expected = {mapping[alt]: value for alt, value in positions.items()}
+            assert dict(dense_via_chain(order.relabel(mapping)).items()) == expected, (order, mapping)
+
+
 def test_dense_range_is_initial_segment():
     for order in support.orders_up_to(5):
         values = set(dense(order).values())
